@@ -15,8 +15,7 @@ from .datagen import (DatasetManifest, TrainingSample, generate_dataset,
                       generate_sample, load_dataset, sample_intermediate)
 from .reconstruct import (IEFConfig, LinearPredictor, ReconstructionResult,
                           extract_features, ief_reconstruct, load_predictor,
-                          mask_by_generic_projection, save_predictor,
-                          train_linear_predictor)
+                          save_predictor, train_linear_predictor)
 from .evaluate import (ErrorReport, LandmarkSet, SimilarityTransform,
                        error_heatmap, landmark_fit, optimal_similarity_align,
                        pointwise_error, project_landmarks)

@@ -50,9 +50,10 @@ def _cmd_datagen(args) -> int:
 def _cmd_train(args) -> int:
     model = load_model(args.model)
     samples = load_dataset(args.dataset, model)
+    if not samples:
+        raise ValueError(f"{args.dataset}: dataset has no samples")
     h, w = samples[0].face_image.shape
-    config = IEFConfig(iterations=args.iterations, width=w, height=h,
-                       feature_downsample=args.downsample)
+    config = IEFConfig(width=w, height=h, feature_downsample=args.downsample)
     predictor = train_linear_predictor(samples, model, config,
                                        ridge_lambda=args.ridge)
     save_predictor(args.out, predictor)
@@ -110,14 +111,13 @@ def _cmd_eval(args) -> int:
         heat = error_heatmap(mesh, report, pose, args.width, args.height)
         write_ppm(os.path.join(args.out, f"heatmap_{label}.ppm"), heat)
 
-    table_path = os.path.join(args.out, "comparison.txt")
-    with open(table_path, "w") as f:
-        f.write(f"{'method':<12} {'mean':>12} {'median':>12} {'rms':>12}\n")
-        for label, report in rows:
-            f.write(f"{label:<12} {report.mean:>12.6g} "
-                    f"{report.median:>12.6g} {report.rms:>12.6g}\n")
-    with open(table_path) as f:
-        print(f.read(), end="")
+    table = f"{'method':<12} {'mean':>12} {'median':>12} {'rms':>12}\n"
+    for label, report in rows:
+        table += (f"{label:<12} {report.mean:>12.6g} "
+                  f"{report.median:>12.6g} {report.rms:>12.6g}\n")
+    with open(os.path.join(args.out, "comparison.txt"), "w") as f:
+        f.write(table)
+    print(table, end="")
     print(f"wrote reports and heatmaps to {args.out}")
     return 0
 
@@ -167,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PRD1 predictor file")
     p.add_argument("--ridge", type=float, default=defaults.RIDGE_LAMBDA,
                    help=f"ridge strength (default {defaults.RIDGE_LAMBDA})")
-    p.add_argument("--iterations", type=int, default=defaults.IEF_ITERATIONS,
-                   help=f"loop iterations (default {defaults.IEF_ITERATIONS})")
     p.add_argument("--downsample", type=int, default=defaults.FEATURE_DOWNSAMPLE,
                    help=f"feature pooling factor (default {defaults.FEATURE_DOWNSAMPLE})")
     p.set_defaults(func=_cmd_train)

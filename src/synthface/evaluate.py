@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .model import GeometryCoefficients, Mesh, MorphableModel
-from .render import PoseParams, rasterize
+from .model import GeometryCoefficients, Mesh, MorphableModel, synthesize_geometry
+from .render import PoseParams, project_vertices, rasterize
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,6 @@ def project_landmarks(model: MorphableModel, coeffs: GeometryCoefficients,
                       pose: PoseParams, width: int, height: int,
                       vertex_indices: np.ndarray) -> LandmarkSet:
     """Ground-truth landmark observations from a synthesized face."""
-    from .model import synthesize_geometry
-    from .render import project_vertices
     mesh = synthesize_geometry(model, coeffs)
     pts, _ = project_vertices(mesh, pose, width, height)
     return LandmarkSet(vertex_indices, pts[vertex_indices])
@@ -204,12 +202,3 @@ def format_report(report: ErrorReport, label: str = "") -> str:
             + f"median={report.median!r}\n"
             + f"max={report.max!r}\n"
             + f"rms={report.rms!r}\n")
-
-
-def save_report(path, report: ErrorReport, label: str = "",
-                dump_raw: bool = False) -> None:
-    with open(path, "w") as f:
-        f.write(format_report(report, label))
-    if dump_raw:
-        with open(str(path) + ".f64", "wb") as f:
-            f.write(report.distances.astype("<f8").tobytes())

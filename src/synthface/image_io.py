@@ -1,8 +1,6 @@
-"""Image and buffer file formats: binary PGM/PPM (8-bit) and raw depth dumps."""
+"""Binary 8-bit image files: PGM (read and written) and PPM (written only)."""
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -60,27 +58,3 @@ def read_pgm(path) -> np.ndarray:
             raise ValueError(f"not a binary PGM file: magic {magic!r}")
         data = np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)
     return data.astype(np.float64) / 255.0
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, w, h = _read_pnm_header(f)
-        if magic != b"P6":
-            raise ValueError(f"not a binary PPM file: magic {magic!r}")
-        data = np.frombuffer(f.read(w * h * 3), dtype=np.uint8).reshape(h, w, 3)
-    return data.astype(np.float64) / 255.0
-
-
-def write_depth(path, depth: np.ndarray) -> None:
-    """Raw float32 little-endian with u32 width/height header."""
-    h, w = depth.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", w, h))
-        f.write(depth.astype("<f4").tobytes())
-
-
-def read_depth(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        w, h = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(4 * w * h), dtype="<f4").reshape(h, w)
-    return data.copy()

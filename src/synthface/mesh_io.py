@@ -1,4 +1,4 @@
-"""Text formats for meshes (OFF) and pose parameter files."""
+"""Text formats: OFF mesh output and pose parameter files."""
 
 from __future__ import annotations
 
@@ -16,29 +16,6 @@ def save_off(path, mesh: Mesh) -> None:
             f.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
         for t in mesh.triangles:
             f.write(f"3 {t[0]} {t[1]} {t[2]}\n")
-
-
-def load_off(path) -> Mesh:
-    with open(path) as f:
-        tokens = []
-        for line in f:
-            line = line.split("#")[0].strip()
-            if line:
-                tokens += line.split()
-    if tokens[0] != "OFF":
-        raise ValueError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array(tokens[pos:pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
-    pos += 3 * nv
-    tris = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ValueError("only triangle faces are supported")
-        tris.append([int(x) for x in tokens[pos + 1:pos + 4]])
-        pos += 1 + cnt
-    return Mesh(verts, np.array(tris, dtype=np.int64))
 
 
 def save_pose(path, pose: PoseParams) -> None:

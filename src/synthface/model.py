@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import defaults
+
 # Extents of the procedural mean face in model units.  Kept O(1) so that a
 # unit-norm basis column produces a visible displacement.
 FACE_WIDTH = 3.0
@@ -229,10 +231,10 @@ def _orthonormal_smooth_basis(rng, field_basis, n_cols, coord_weights):
 
 
 def build_procedural_model(seed: int,
-                           n_id: int = 200,
-                           n_exp: int = 84,
-                           n_tex: int = 200,
-                           grid_resolution: int = 48) -> MorphableModel:
+                           n_id: int = defaults.N_ID,
+                           n_exp: int = defaults.N_EXP,
+                           n_tex: int = defaults.N_TEX,
+                           grid_resolution: int = defaults.GRID_RESOLUTION) -> MorphableModel:
     """Deterministic face-like morphable model on a square grid.
 
     The mean shape is a smooth heightfield; [basis_id | basis_exp] has mutually
@@ -365,7 +367,7 @@ def sample_texture_coefficients(rng: np.random.Generator,
 def project_texture(model: MorphableModel,
                     observed: Texture,
                     visibility: np.ndarray,
-                    lambda_tex: float = 1e-6,
+                    lambda_tex: float = defaults.LAMBDA_TEXTURE,
                     feather: int = 0):
     """Least-squares texture coefficients from the visible vertices.
 

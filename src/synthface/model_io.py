@@ -3,7 +3,9 @@
 Layout (little-endian): magic ``MFM1``; u32 N, M, n_id, n_exp, n_tex; then
 float64 arrays mu_S, A_id (column-major), A_exp, mu_T, A_T; u32 triangle
 triples; optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices.
-Round-trips are bit-exact.
+Round-trips are bit-exact.  Loading rejects a file whose shape basis
+``[A_id | A_exp]`` is not orthonormal: the vertex-space loss, the ridge
+predictor and the landmark prior all rely on that.
 """
 
 from __future__ import annotations
@@ -74,8 +76,12 @@ def model_from_bytes(data: bytes) -> MorphableModel:
         k = struct.unpack_from("<I", data, off + 4)[0]
         landmarks = np.frombuffer(data, dtype="<u4", count=k, offset=off + 8) \
             .copy().astype(np.int64)
-    return MorphableModel(mu_s, a_id, a_exp, mu_t, a_tex, tris,
-                          landmark_indices=landmarks)
+    model = MorphableModel(mu_s, a_id, a_exp, mu_t, a_tex, tris,
+                           landmark_indices=landmarks)
+    basis = model.shape_basis
+    if not np.allclose(basis.T @ basis, np.eye(n_id + n_exp), atol=1e-8):
+        raise ModelFormatError("shape basis [A_id | A_exp] is not orthonormal")
+    return model
 
 
 def save_model(model: MorphableModel, path) -> None:
@@ -88,7 +94,7 @@ def load_model(path) -> MorphableModel:
         data = f.read()
     try:
         return model_from_bytes(data)
-    except ModelFormatError as exc:
+    except (ValueError, struct.error) as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
 
 

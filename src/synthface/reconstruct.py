@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -39,12 +39,6 @@ class IEFConfig:
         blocks = (self.width // self.feature_downsample) \
             * (self.height // self.feature_downsample)
         return 2 * blocks + 1
-
-
-class Predictor(Protocol):
-    """Pure mapping (features, current coefficients) -> new coefficient vector."""
-
-    def __call__(self, features: np.ndarray, alpha: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass
@@ -107,9 +101,9 @@ def train_linear_predictor(samples,
                            ridge_lambda: float = defaults.RIDGE_LAMBDA) -> LinearPredictor:
     """Ridge regression from [features; alpha_t] to alpha_gt.
 
-    The loss is measured in vertex space through the shape basis, so the
-    normal equations carry the basis Gram matrix as output-space weighting;
-    for orthonormal-basis models this reduces to plain ridge regression.
+    The loss is measured in vertex space through the shape basis.  Every
+    model `model_io` loads has an orthonormal shape basis, so that loss equals
+    the coefficient-space loss and plain ridge regression minimizes it.
     """
     samples = list(samples)
     if not samples:
@@ -128,26 +122,9 @@ def train_linear_predictor(samples,
         x[r, n_in] = 1.0
         y[r] = s.alpha_gt.vector
 
-    basis = model.shape_basis
-    gram = basis.T @ basis
     xtx = x.T @ x
     xty = x.T @ y
-
-    # Row-space eigenbasis of the Gram matrix decouples the weighted problem
-    # into independent ridge solves, one per distinct eigenvalue.
-    evals, evecs = np.linalg.eigh(gram)
-    if np.allclose(evals, 1.0, atol=1e-8):
-        params = np.linalg.solve(xtx + ridge_lambda * np.eye(n_in + 1), xty).T
-    else:
-        rhs = xty @ evecs                         # columns in eigen coordinates
-        sol = np.empty_like(rhs)
-        rounded = np.round(evals, 10)
-        for val in np.unique(rounded):
-            cols = rounded == val
-            d = float(np.mean(evals[cols]))
-            sol[:, cols] = np.linalg.solve(d * xtx + ridge_lambda * np.eye(n_in + 1),
-                                           d * rhs[:, cols])
-        params = (sol @ evecs.T).T
+    params = np.linalg.solve(xtx + ridge_lambda * np.eye(n_in + 1), xty).T
     return LinearPredictor(weight=params[:, :n_in], bias=params[:, n_in])
 
 
@@ -194,17 +171,6 @@ def ief_reconstruct(face_image: np.ndarray,
     final_shading = render_shading_image(final_mesh, pose,
                                          config.width, config.height)
     return ReconstructionResult(iterates, final_mesh, final_shading, pose)
-
-
-def mask_by_generic_projection(face_image: np.ndarray,
-                               pose: PoseParams,
-                               model: MorphableModel) -> np.ndarray:
-    """Zero the image outside the mean face's coverage under the given pose."""
-    height, width = face_image.shape
-    raster = render_shading_image(model.mean_mesh, pose, width, height)
-    if not raster.mask.any():
-        raise ValueError("mean-face projection covers no pixels; pose is invalid")
-    return np.where(raster.mask, face_image, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from synthface.evaluate import project_landmarks, save_landmarks
 from synthface.image_io import read_pgm, write_pgm
 from synthface.mesh_io import save_pose
 from synthface.model import GeometryCoefficients, synthesize_geometry
-from synthface.model_io import load_model
+from synthface.model_io import load_model, model_from_bytes, model_to_bytes
 from synthface.reconstruct import LinearPredictor, save_predictor
 from synthface.datagen import generate_sample, rng_for_sample
 
@@ -73,12 +74,37 @@ def test_datagen_missing_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_datagen_corrupt_model_names_file(tmp_path, capsys):
+def _non_orthonormal(data):
+    model = model_from_bytes(data)
+    return model_to_bytes(replace(model, basis_id=2.0 * model.basis_id, _cache={}))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: b"JUNK" + b"\x00" * 100,
+    lambda data: data[:200],
+    lambda data: data[:10],
+    _non_orthonormal,
+], ids=["junk", "truncated", "short", "non_orthonormal"])
+def test_datagen_corrupt_model_names_file(tmp_path, model_file, capsys, corrupt):
     bad = tmp_path / "corrupt.mfm"
-    bad.write_bytes(b"JUNK" + b"\x00" * 100)
+    bad.write_bytes(corrupt(model_file.read_bytes()))
     rc = run("datagen", "--model", bad, "--out", tmp_path / "d", "--count", 1)
     assert rc == 1
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+def test_train_empty_dataset(tmp_path, model_file, capsys):
+    data = tmp_path / "data"
+    assert run("datagen", "--model", model_file, "--out", data, "--count", 1,
+               "--width", 64, "--height", 64) == 0
+    manifest = data / "manifest.txt"
+    header = [ln for ln in manifest.read_text().splitlines() if "=" in ln]
+    manifest.write_text("\n".join(header) + "\n")
+    rc = run("train", "--model", model_file, "--dataset", data,
+             "--out", tmp_path / "p.prd")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {data}: dataset has no samples\n"
 
 
 def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys):
@@ -143,6 +169,12 @@ def test_full_pipeline_smoke(tmp_path, model_file):
     assert (ev / "heatmap_landmark.ppm").exists()
     table = (ev / "comparison.txt").read_text()
     assert "ief" in table and "landmark" in table
+
+
+def test_train_has_no_iterations_flag(capsys):
+    with pytest.raises(SystemExit):
+        run("train", "--help")
+    assert "--iterations" not in capsys.readouterr().out
 
 
 def test_help_lists_flags(capsys):

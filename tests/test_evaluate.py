@@ -6,8 +6,8 @@ from synthface.evaluate import (ErrorReport, LandmarkSet, error_colormap,
                                 error_heatmap, format_report, landmark_fit,
                                 load_landmarks, optimal_similarity_align,
                                 pointwise_error, project_landmarks,
-                                save_landmarks, save_report)
-from synthface.mesh_io import load_off, load_pose, save_off, save_pose
+                                save_landmarks)
+from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import (GeometryCoefficients, Mesh,
                              sample_geometry_coefficients,
                              synthesize_geometry)
@@ -208,14 +208,11 @@ def test_landmark_file_roundtrip(tmp_path, rng):
     assert np.array_equal(loaded.image_points, lms.image_points)
 
 
-def test_report_file(tmp_path, rng):
+def test_report_file(rng):
     report = ErrorReport(np.abs(rng.standard_normal(50)))
-    path = tmp_path / "report.txt"
-    save_report(path, report, label="unit", dump_raw=True)
-    text = path.read_text()
+    text = format_report(report, label="unit")
+    assert text.startswith("# error report unit\n")
     assert f"mean={report.mean!r}" in text
-    raw = np.frombuffer((tmp_path / "report.txt.f64").read_bytes(), "<f8")
-    assert np.array_equal(raw, report.distances)
     assert "count=50" in format_report(report)
 
 
@@ -223,9 +220,15 @@ def test_off_roundtrip(tmp_path, fit_model):
     mesh = fit_model.mean_mesh
     path = tmp_path / "m.off"
     save_off(path, mesh)
-    loaded = load_off(path)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert np.array_equal(loaded.triangles, mesh.triangles)
+    lines = path.read_text().splitlines()
+    nv, nf = len(mesh.vertices), len(mesh.triangles)
+    assert lines[0] == "OFF" and lines[1] == f"{nv} {nf} 0"
+    assert len(lines) == 2 + nv + nf
+    verts = np.array([ln.split() for ln in lines[2:2 + nv]], dtype=np.float64)
+    faces = np.array([ln.split() for ln in lines[2 + nv:]], dtype=np.int64)
+    assert np.array_equal(verts, mesh.vertices)
+    assert np.all(faces[:, 0] == 3)
+    assert np.array_equal(faces[:, 1:], mesh.triangles)
 
 
 def test_pose_file_roundtrip(tmp_path, rng):

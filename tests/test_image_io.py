@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthface.image_io import (quantize, read_depth, read_pgm, read_ppm,
-                                write_depth, write_pgm, write_ppm)
+from synthface.image_io import quantize, read_pgm, write_pgm, write_ppm
 
 
 def test_pgm_roundtrip_bit_exact(tmp_path, rng):
@@ -24,14 +23,14 @@ def test_ppm_roundtrip_bit_exact(tmp_path, rng):
     img = quantize(rng.uniform(size=(7, 5, 3)))
     path = tmp_path / "a.ppm"
     write_ppm(path, img)
-    assert np.array_equal(read_ppm(path), img)
+    header = b"P6\n5 7\n255\n"
+    raw = path.read_bytes()
+    assert raw.startswith(header) and len(raw) == len(header) + 7 * 5 * 3
+    pixels = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(7, 5, 3)
+    assert np.array_equal(pixels / 255.0, img)
 
 
 def test_pnm_magic_mismatch(tmp_path, rng):
-    img = quantize(rng.uniform(size=(4, 4)))
-    write_pgm(tmp_path / "a.pgm", img)
-    with pytest.raises(ValueError):
-        read_ppm(tmp_path / "a.pgm")
     write_ppm(tmp_path / "a.ppm", quantize(rng.uniform(size=(4, 4, 3))))
     with pytest.raises(ValueError):
         read_pgm(tmp_path / "a.ppm")
@@ -44,13 +43,6 @@ def test_pgm_header_with_comment(tmp_path):
     img = read_pgm(path)
     assert img.shape == (2, 2)
     assert img[0, 1] == 128 / 255.0
-
-
-def test_depth_roundtrip(tmp_path, rng):
-    depth = rng.standard_normal((6, 11)).astype(np.float32).astype(np.float64)
-    path = tmp_path / "d.f32"
-    write_depth(path, depth)
-    assert np.array_equal(read_depth(path), depth.astype(np.float32))
 
 
 @settings(max_examples=50, deadline=None)

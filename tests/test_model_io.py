@@ -49,3 +49,10 @@ def test_model_without_landmarks_roundtrips(small_model):
     bare = replace(small_model, landmark_indices=None, _cache={})
     loaded = model_from_bytes(model_to_bytes(bare))
     assert loaded.landmark_indices is None
+
+
+def test_non_orthonormal_basis_rejected(small_model):
+    from dataclasses import replace
+    scaled = replace(small_model, basis_id=2.0 * small_model.basis_id, _cache={})
+    with pytest.raises(ModelFormatError, match="not orthonormal"):
+        model_from_bytes(model_to_bytes(scaled))

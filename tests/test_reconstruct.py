@@ -6,9 +6,9 @@ from synthface.model import (GeometryCoefficients, geometry_loss,
                              synthesize_geometry)
 from synthface.reconstruct import (IEFConfig, LinearPredictor,
                                    extract_features, ief_reconstruct,
-                                   load_predictor, mask_by_generic_projection,
-                                   save_predictor, train_linear_predictor)
-from synthface.render import PoseParams, nominal_focal, render_shading_image
+                                   load_predictor, save_predictor,
+                                   train_linear_predictor)
+from synthface.render import render_shading_image
 
 
 @pytest.fixture(scope="module")
@@ -158,18 +158,6 @@ def test_wrong_predictor_output_rejected(fit_model, corpus, cfg64):
     with pytest.raises(ValueError):
         ief_reconstruct(s.face_image, s.pose,
                         lambda f, a: np.zeros(7), fit_model, cfg64)
-
-
-def test_generic_projection_mask(fit_model):
-    f0 = nominal_focal(fit_model.mean_mesh, 64)
-    pose = PoseParams.identity(f0)
-    img = np.ones((64, 64))
-    masked = mask_by_generic_projection(img, pose, fit_model)
-    raster = render_shading_image(fit_model.mean_mesh, pose, 64, 64)
-    assert np.array_equal(masked > 0, raster.mask)
-    # idempotence
-    assert np.array_equal(mask_by_generic_projection(masked, pose, fit_model),
-                          masked)
 
 
 # ---------------------------------------------------------------------------
