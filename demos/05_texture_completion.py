@@ -28,8 +28,3 @@ occluded = ~visibility
 color_err = np.abs(combined.colors[occluded]
                    - observed.colors[occluded]).max()
 print(f"max completed-color error on occluded vertices: {color_err:.2e}")
-
-_, feathered = project_texture(model, observed, visibility, feather=3)
-print("with feathering, visible colors are kept exactly:",
-      bool(np.array_equal(feathered.colors[visibility],
-                          observed.colors[visibility])))

@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import defaults
 from .datagen import (generate_dataset, load_coeff_vector, load_dataset,
                       save_coeff_vector)
@@ -26,6 +24,7 @@ from .model import (GeometryCoefficients, build_procedural_model,
 from .model_io import load_model, save_model
 from .reconstruct import (IEFConfig, ief_reconstruct, load_predictor,
                           save_predictor, train_linear_predictor)
+from .render import render_shading_image
 
 
 def _cmd_model_gen(args) -> int:
@@ -77,12 +76,13 @@ def _cmd_reconstruct(args) -> int:
             f"predictor dims {predictor.weight.shape} do not match model/config: "
             f"expected ({n_coeffs}, {expected_in})")
     result = ief_reconstruct(image, pose, predictor, model, config)
+    mesh = synthesize_geometry(model, result.final_coefficients(model))
     os.makedirs(args.out, exist_ok=True)
     save_coeff_vector(os.path.join(args.out, "coefficients.bin"),
                       result.iterates[-1])
-    save_off(os.path.join(args.out, "mesh.off"), result.final_mesh)
-    shading = np.where(result.final_shading.mask, result.final_shading.image, 0.0)
-    write_pgm(os.path.join(args.out, "shading.pgm"), shading)
+    save_off(os.path.join(args.out, "mesh.off"), mesh)
+    write_pgm(os.path.join(args.out, "shading.pgm"),
+              render_shading_image(mesh, pose, w, h).image)
     print(f"wrote coefficients.bin, mesh.off, shading.pgm to {args.out}")
     return 0
 

@@ -51,19 +51,15 @@ class DatasetManifest:
     entries: list      # (sample_id, face_file, shading_file, coeff_file)
 
 
-def sample_intermediate(rng: np.random.Generator,
-                        alpha_gt: GeometryCoefficients,
-                        u: float | None = None) -> GeometryCoefficients:
-    """alpha_t = u * alpha_gt + (1-u) * alpha_rand, u ~ Uniform[0,1].
+MANIFEST_KEYS = ("model_hash", "count", "width", "height", "master_seed")
 
-    `u` can be forced for testing; alpha_rand is always drawn so the stream
-    advances identically either way.
-    """
+
+def sample_intermediate(rng: np.random.Generator,
+                        alpha_gt: GeometryCoefficients) -> GeometryCoefficients:
+    """alpha_t = u * alpha_gt + (1-u) * alpha_rand, u ~ Uniform[0,1]."""
     gt = alpha_gt.vector
     alpha_rand = rng.standard_normal(gt.shape[0])
-    u_drawn = rng.uniform(0.0, 1.0)
-    if u is None:
-        u = u_drawn
+    u = rng.uniform(0.0, 1.0)
     vec = u * gt + (1.0 - u) * alpha_rand
     return GeometryCoefficients.from_vector(vec, alpha_gt.alpha_id.shape[0])
 
@@ -83,11 +79,10 @@ def generate_sample(rng: np.random.Generator,
                     model: MorphableModel,
                     width: int = defaults.IMAGE_WIDTH,
                     height: int = defaults.IMAGE_HEIGHT,
-                    sample_id: int = 0,
-                    force_u: float | None = None) -> TrainingSample:
+                    sample_id: int = 0) -> TrainingSample:
     alpha_gt = sample_geometry_coefficients(rng, model)
     tcoeffs = sample_texture_coefficients(rng, model)
-    alpha_t = sample_intermediate(rng, alpha_gt, u=force_u)
+    alpha_t = sample_intermediate(rng, alpha_gt)
     lighting = sample_lighting(rng)
 
     mean_mesh = model.mean_mesh
@@ -109,7 +104,6 @@ def generate_sample(rng: np.random.Generator,
     face_gray = quantize(luminance(face_raster.image))
     face_gray[~shading_raster.mask] = 0.0
     shading = quantize(shading_raster.image)
-    shading[~shading_raster.mask] = 0.0
     return TrainingSample(face_gray, shading, alpha_t, alpha_gt,
                           pose, lighting, sample_id)
 
@@ -131,14 +125,20 @@ def _write_arrays(path, arrays) -> None:
 
 
 def _read_arrays(path):
-    arrays = []
     with open(path, "rb") as f:
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            n = struct.unpack("<I", head)[0]
-            arrays.append(np.frombuffer(f.read(8 * n), dtype="<f8").copy())
+        data = f.read()
+    arrays = []
+    pos = 0
+    while pos < len(data):
+        if len(data) - pos < 4:
+            raise ValueError(f"{path}: truncated length prefix at byte {pos}")
+        n = struct.unpack_from("<I", data, pos)[0]
+        pos += 4
+        if len(data) - pos < 8 * n:
+            raise ValueError(f"{path}: array {len(arrays)} declares {n} values "
+                             f"({8 * n} bytes) but {len(data) - pos} bytes remain")
+        arrays.append(np.frombuffer(data, dtype="<f8", count=n, offset=pos).copy())
+        pos += 8 * n
     return arrays
 
 
@@ -150,7 +150,7 @@ def save_coeff_vector(path, vec: np.ndarray) -> None:
 def load_coeff_vector(path) -> np.ndarray:
     arrays = _read_arrays(path)
     if len(arrays) != 1:
-        raise ValueError(f"expected one coefficient array in {path}, "
+        raise ValueError(f"{path}: expected one coefficient array, "
                          f"found {len(arrays)}")
     return arrays[0]
 
@@ -168,7 +168,12 @@ def save_sample_coeffs(path, sample: TrainingSample) -> None:
 
 
 def load_sample_coeffs(path, n_id: int):
-    at, agt, pose_vec, light_vec = _read_arrays(path)
+    arrays = _read_arrays(path)
+    sizes = [a.shape[0] for a in arrays]
+    if len(sizes) != 4 or sizes[2:] != [13, 7]:
+        raise ValueError(f"{path}: expected 4 arrays (alpha_t, alpha_gt, 13 pose "
+                         f"and 7 lighting values), found lengths {sizes}")
+    at, agt, pose_vec, light_vec = arrays
     pose = PoseParams(float(pose_vec[0]), pose_vec[1:10].reshape(3, 3),
                       pose_vec[10:13])
     lighting = LightingParams(float(light_vec[0]), float(light_vec[1]),
@@ -230,12 +235,7 @@ def generate_dataset(master_seed: int,
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    lines = [f"model_hash={manifest.model_hash}",
-             f"count={manifest.count}",
-             f"width={manifest.width}",
-             f"height={manifest.height}",
-             f"master_seed={manifest.master_seed}",
-             ""]
+    lines = [f"{key}={getattr(manifest, key)}" for key in MANIFEST_KEYS] + [""]
     for sid, face_f, shade_f, coeff_f in manifest.entries:
         lines.append(f"{sid} {face_f} {shade_f} {coeff_f}")
     with open(path, "w") as f:
@@ -252,14 +252,22 @@ def load_manifest(path) -> DatasetManifest:
         key, val = lines[k].split("=", 1)
         header[key] = val
         k += 1
-    for ln in lines[k:]:
-        if not ln.strip():
-            continue
-        sid, face_f, shade_f, coeff_f = ln.split()
-        entries.append((int(sid), face_f, shade_f, coeff_f))
-    manifest = DatasetManifest(header["model_hash"], int(header["count"]),
-                               int(header["width"]), int(header["height"]),
-                               int(header["master_seed"]), entries)
+    missing = [key for key in MANIFEST_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path}: missing header keys {', '.join(missing)}")
+    try:
+        count, width, height, master_seed = (int(header[key])
+                                             for key in MANIFEST_KEYS[1:])
+        for ln in lines[k:]:
+            if ln.strip():
+                sid, face_f, shade_f, coeff_f = ln.split()
+                entries.append((int(sid), face_f, shade_f, coeff_f))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if entries and count != len(entries):
+        raise ValueError(f"{path}: count={count} but {len(entries)} entries")
+    manifest = DatasetManifest(header["model_hash"], count, width, height,
+                               master_seed, entries)
     base = os.path.dirname(os.path.abspath(path))
     for _, *files in entries:
         for name in files:
@@ -272,7 +280,7 @@ def load_manifest(path) -> DatasetManifest:
 def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:
     manifest = load_manifest(os.path.join(dataset_dir, "manifest.txt"))
     if manifest.model_hash != model_digest(model):
-        raise ValueError("dataset was generated with a different model")
+        raise ValueError(f"{dataset_dir}: dataset was generated with a different model")
     samples = []
     for sid, face_f, shade_f, coeff_f in manifest.entries:
         face = read_pgm(os.path.join(dataset_dir, face_f))

@@ -151,11 +151,10 @@ def pointwise_error(aligned: Mesh, ground_truth: Mesh) -> ErrorReport:
     return ErrorReport(d)
 
 
-def error_colormap(errors: np.ndarray, max_error: float | None = None) -> np.ndarray:
-    """Linear blue (0) -> red (max) map; (K,) errors to (K, 3) RGB."""
-    if max_error is None:
-        max_error = float(errors.max())
-    t = errors / max_error if max_error > 0 else np.zeros_like(errors)
+def error_colormap(errors: np.ndarray) -> np.ndarray:
+    """Linear blue (0) -> red (largest error) map; (K,) errors to (K, 3) RGB."""
+    peak = float(errors.max())
+    t = errors / peak if peak > 0 else np.zeros_like(errors)
     t = np.clip(t, 0.0, 1.0)
     colors = np.zeros((errors.shape[0], 3))
     colors[:, 0] = t

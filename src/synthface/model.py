@@ -348,33 +348,25 @@ def geometry_loss_grad(model: MorphableModel,
 
 
 def sample_geometry_coefficients(rng: np.random.Generator,
-                                 model: MorphableModel,
-                                 sigma: float = 1.0) -> GeometryCoefficients:
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    vec = sigma * rng.standard_normal(model.n_id + model.n_exp)
+                                 model: MorphableModel) -> GeometryCoefficients:
+    vec = rng.standard_normal(model.n_id + model.n_exp)
     return GeometryCoefficients.from_vector(vec, model.n_id)
 
 
 def sample_texture_coefficients(rng: np.random.Generator,
-                                model: MorphableModel,
-                                sigma: float = 1.0) -> TextureCoefficients:
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    return TextureCoefficients(sigma * rng.standard_normal(model.n_tex))
+                                model: MorphableModel) -> TextureCoefficients:
+    return TextureCoefficients(rng.standard_normal(model.n_tex))
 
 
 def project_texture(model: MorphableModel,
                     observed: Texture,
                     visibility: np.ndarray,
-                    lambda_tex: float = defaults.LAMBDA_TEXTURE,
-                    feather: int = 0):
+                    lambda_tex: float = defaults.LAMBDA_TEXTURE):
     """Least-squares texture coefficients from the visible vertices.
 
     Returns ``(TextureCoefficients, Texture)`` where the texture keeps the
     observed colors on visible vertices and takes the model reconstruction on
-    occluded ones.  ``feather > 0`` smooths the visible/occluded blend weight
-    over that many neighbor-averaging rounds instead of a hard switch.
+    occluded ones.
     """
     visibility = np.asarray(visibility, dtype=bool)
     if visibility.shape[0] != model.n_vertices:
@@ -388,25 +380,6 @@ def project_texture(model: MorphableModel,
     ata[np.diag_indices_from(ata)] += lambda_tex
     alpha = np.linalg.solve(ata, a.T @ b)
 
-    recon = model.mu_tex + model.basis_tex @ alpha
-    recon = recon.reshape(-1, 3)
-    w = visibility.astype(np.float64)
-    if feather > 0:
-        w = _smooth_vertex_weights(w, model.triangles, feather)
-        w = np.where(visibility, 1.0, w)
-    combined = w[:, None] * observed.colors + (1.0 - w[:, None]) * recon
+    recon = (model.mu_tex + model.basis_tex @ alpha).reshape(-1, 3)
+    combined = np.where(visibility[:, None], observed.colors, recon)
     return TextureCoefficients(alpha), Texture(combined)
-
-
-def _smooth_vertex_weights(w: np.ndarray, triangles: np.ndarray, rounds: int) -> np.ndarray:
-    n = w.shape[0]
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    deg = np.bincount(src, minlength=n).astype(np.float64)
-    deg[deg == 0] = 1.0
-    for _ in range(rounds):
-        acc = np.bincount(src, weights=w[dst], minlength=n)
-        w = acc / deg
-    return w

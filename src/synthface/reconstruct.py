@@ -2,9 +2,11 @@
 
 The loop starts at the mean face (all-zero coefficients), renders a shading
 image of the current estimate, masks the input image with the estimate's
-coverage, and asks the predictor for updated coefficients.  The desk-scale
-predictor is a ridge-trained linear map on pooled-pixel features; anything
-with the same call signature plugs in unchanged.
+coverage, and asks the predictor for updated coefficients.  It returns the
+sequence of coefficient estimates; a caller that wants the final mesh or its
+shading image synthesizes and renders them itself.  The desk-scale predictor
+is a ridge-trained linear map on pooled-pixel features; anything with the
+same call signature plugs in unchanged.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import defaults
-from .model import (GeometryCoefficients, Mesh, MorphableModel,
-                    synthesize_geometry)
-from .render import PoseParams, RasterOutput, render_shading_image
+from .model import GeometryCoefficients, MorphableModel, synthesize_geometry
+from .render import PoseParams, render_shading_image
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,6 @@ class IEFConfig:
 @dataclass
 class ReconstructionResult:
     iterates: list          # coefficient vectors, length iterations + 1; [0] is zero
-    final_mesh: Mesh
-    final_shading: RasterOutput
-    pose: PoseParams
 
     def final_coefficients(self, model: MorphableModel) -> GeometryCoefficients:
         return GeometryCoefficients.from_vector(self.iterates[-1], model.n_id)
@@ -142,35 +140,23 @@ def ief_reconstruct(face_image: np.ndarray,
     n_coeffs = model.n_id + model.n_exp
     alpha = np.zeros(n_coeffs)
     iterates = [alpha.copy()]
-    prev_mask = np.ones(face_image.shape, dtype=bool)
-    shading = None
+    mask = np.ones(face_image.shape, dtype=bool)
+    shading_img = np.zeros_like(face_image)
 
     for _ in range(config.iterations):
         mesh = synthesize_geometry(
             model, GeometryCoefficients.from_vector(alpha, model.n_id))
         raster = render_shading_image(mesh, pose, config.width, config.height)
+        # a degenerate estimate keeps the last non-empty mask and shading
         if raster.mask.any():
-            mask = raster.mask
-            shading_img = np.where(mask, raster.image, 0.0)
-            shading = raster
-        else:
-            # degenerate estimate: keep the previous mask and shading
-            mask = prev_mask
-            shading_img = shading.image if shading is not None \
-                else np.zeros_like(face_image)
+            mask, shading_img = raster.mask, raster.image
         masked = np.where(mask, face_image, 0.0)
         features = extract_features(masked, shading_img, config)
         alpha = np.asarray(predictor(features, alpha), dtype=np.float64)
         if alpha.shape != (n_coeffs,):
             raise ValueError("predictor returned a wrong-sized coefficient vector")
         iterates.append(alpha.copy())
-        prev_mask = mask
-
-    final_coeffs = GeometryCoefficients.from_vector(alpha, model.n_id)
-    final_mesh = synthesize_geometry(model, final_coeffs)
-    final_shading = render_shading_image(final_mesh, pose,
-                                         config.width, config.height)
-    return ReconstructionResult(iterates, final_mesh, final_shading, pose)
+    return ReconstructionResult(iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +177,15 @@ def load_predictor(path) -> LinearPredictor:
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != PREDICTOR_MAGIC:
-        raise ValueError(f"bad predictor magic {data[:4]!r}")
+        raise ValueError(f"{path}: bad predictor magic {data[:4]!r}")
+    if len(data) < 12:
+        raise ValueError(f"{path}: {len(data)} bytes, shorter than the 12-byte header")
     feature_dim, n_coeffs = struct.unpack_from("<II", data, 4)
     n_in = feature_dim + n_coeffs
+    expected = 12 + 8 * (n_coeffs * n_in + n_coeffs)
+    if len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes, expected {expected} for "
+                         f"feature_dim={feature_dim} n_coeffs={n_coeffs}")
     weight = np.frombuffer(data, dtype="<f8", count=n_coeffs * n_in,
                            offset=12).copy().reshape(n_coeffs, n_in)
     bias = np.frombuffer(data, dtype="<f8", count=n_coeffs,

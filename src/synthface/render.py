@@ -102,18 +102,16 @@ def compute_vertex_normals(mesh: Mesh) -> np.ndarray:
 
 
 def phong_shade(albedo: np.ndarray, normal: np.ndarray,
-                lighting: LightingParams,
-                view_dir: np.ndarray = VIEW_DIR) -> np.ndarray:
-    """Phong reflectance per vertex; albedo (..., 3), normal (..., 3) unit.
-
-    Output clamped to [0,1].
+                lighting: LightingParams) -> np.ndarray:
+    """Phong reflectance per vertex, viewed along +z; albedo (..., 3),
+    normal (..., 3) unit.  Output clamped to [0,1].
     """
     albedo = np.asarray(albedo, dtype=np.float64)
     normal = np.asarray(normal, dtype=np.float64)
     l = lighting.light_dir
     ln = np.maximum(normal @ l, 0.0)
     refl = 2.0 * (normal @ l)[..., None] * normal - l
-    rv = np.maximum(refl @ view_dir, 0.0)
+    rv = np.maximum(refl @ VIEW_DIR, 0.0)
     out = (lighting.k_ambient
            + lighting.k_diffuse * ln[..., None]
            + lighting.k_specular * (rv ** lighting.shininess)[..., None]) * albedo
@@ -231,24 +229,19 @@ def render_shading_image(mesh: Mesh, pose: PoseParams,
 # ---------------------------------------------------------------------------
 # Randomized scene parameters
 
-def sample_lighting(rng: np.random.Generator,
-                    means=(defaults.PHONG_MEAN_AMBIENT,
-                           defaults.PHONG_MEAN_DIFFUSE,
-                           defaults.PHONG_MEAN_SPECULAR),
-                    sigmas=(defaults.PHONG_SIGMA_AMBIENT,
-                            defaults.PHONG_SIGMA_DIFFUSE,
-                            defaults.PHONG_SIGMA_SPECULAR),
-                    shininess: float = defaults.PHONG_SHININESS) -> LightingParams:
-    """Reflectance constants around the configured means; frontal light direction."""
-    ka, kd, ks = (max(m + s * rng.standard_normal(), 0.0)
-                  for m, s in zip(means, sigmas))
+def sample_lighting(rng: np.random.Generator) -> LightingParams:
+    """Reflectance constants around the default means; frontal light direction."""
+    ka, kd, ks = (max(m + s * rng.standard_normal(), 0.0) for m, s in (
+        (defaults.PHONG_MEAN_AMBIENT, defaults.PHONG_SIGMA_AMBIENT),
+        (defaults.PHONG_MEAN_DIFFUSE, defaults.PHONG_SIGMA_DIFFUSE),
+        (defaults.PHONG_MEAN_SPECULAR, defaults.PHONG_SIGMA_SPECULAR)))
     # uniform area measure on the z > 0 hemisphere
     z = rng.uniform(0.0, 1.0)
     phi = rng.uniform(0.0, 2.0 * np.pi)
     r = np.sqrt(max(1.0 - z * z, 0.0))
     light = np.array([r * np.cos(phi), r * np.sin(phi), z])
     light /= np.linalg.norm(light)
-    return LightingParams(ka, kd, ks, shininess, light)
+    return LightingParams(ka, kd, ks, defaults.PHONG_SHININESS, light)
 
 
 def rotation_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -262,32 +255,26 @@ def rotation_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:
     return rz @ rx @ ry
 
 
-def nominal_focal(mesh: Mesh, image_height: int,
-                  fill_frac: float = defaults.POSE_FILL_FRAC) -> float:
-    """Scale at which the mesh spans `fill_frac` of the image height."""
+def nominal_focal(mesh: Mesh, image_height: int) -> float:
+    """Scale at which the mesh spans `defaults.POSE_FILL_FRAC` of the image height."""
     extent = mesh.vertices[:, 1].max() - mesh.vertices[:, 1].min()
     if extent <= 0:
         raise ValueError("mesh has no vertical extent")
-    return fill_frac * image_height / extent
+    return defaults.POSE_FILL_FRAC * image_height / extent
 
 
 def face_width_of(mesh: Mesh) -> float:
     return float(mesh.vertices[:, 0].max() - mesh.vertices[:, 0].min())
 
 
-def sample_pose(rng: np.random.Generator,
-                f0: float,
-                face_width: float,
-                rot_sigma_deg: float = defaults.POSE_ROTATION_SIGMA_DEG,
-                trans_frac: float = defaults.POSE_TRANSLATION_FRAC,
-                scale_frac: float = defaults.POSE_SCALE_FRAC) -> PoseParams:
+def sample_pose(rng: np.random.Generator, f0: float, face_width: float) -> PoseParams:
     """Near-frontal pose: normal Euler angles, small translation, scale jitter."""
-    sigma = np.deg2rad(rot_sigma_deg)
+    sigma = np.deg2rad(defaults.POSE_ROTATION_SIGMA_DEG)
     yaw, pitch, roll = sigma * rng.standard_normal(3)
     r = rotation_from_euler(yaw, pitch, roll)
     t = np.zeros(3)
-    t[:2] = trans_frac * face_width * rng.standard_normal(2)
-    f = f0 * (1.0 + scale_frac * rng.standard_normal())
+    t[:2] = defaults.POSE_TRANSLATION_FRAC * face_width * rng.standard_normal(2)
+    f = f0 * (1.0 + defaults.POSE_SCALE_FRAC * rng.standard_normal())
     f = max(f, 1e-3 * f0)
     return PoseParams(f, r, t)
 

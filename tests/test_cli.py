@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,11 @@ from synthface.cli import main
 from synthface.datagen import load_coeff_vector, save_coeff_vector
 from synthface.evaluate import project_landmarks, save_landmarks
 from synthface.image_io import read_pgm, write_pgm
-from synthface.mesh_io import save_pose
+from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import GeometryCoefficients, synthesize_geometry
 from synthface.model_io import load_model, model_from_bytes, model_to_bytes
 from synthface.reconstruct import LinearPredictor, save_predictor
+from synthface.render import render_shading_image
 from synthface.datagen import generate_sample, rng_for_sample
 
 
@@ -53,6 +55,37 @@ def test_model_gen_bad_dims(capsys):
     rc = run("model-gen", "--n-id", 9999, "--grid", 8, "--out", "/tmp/x.mfm")
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory, model_file):
+    """A 4-sample dataset, a predictor trained on it, and one held-out face
+    with its pose, ground-truth coefficients and landmarks."""
+    root = tmp_path_factory.mktemp("pipeline")
+    assert run("datagen", "--model", model_file, "--out", root / "data",
+               "--seed", 5, "--count", 4, "--width", 64, "--height", 64) == 0
+    assert run("train", "--model", model_file, "--dataset", root / "data",
+               "--out", root / "p.prd", "--ridge", 1.0) == 0
+    model = load_model(model_file)
+    s = generate_sample(rng_for_sample(99, 0), model, 64, 64)
+    write_pgm(root / "face.pgm", s.face_image)
+    save_pose(root / "pose.txt", s.pose)
+    save_coeff_vector(root / "gt.bin", s.alpha_gt.vector)
+    save_landmarks(root / "lms.txt", project_landmarks(
+        model, s.alpha_gt, s.pose, 64, 64, model.landmark_indices))
+    return root
+
+
+def reconstruct(model_file, pipeline, out, predictor=None):
+    return run("reconstruct", "--model", model_file,
+               "--predictor", predictor or pipeline / "p.prd",
+               "--image", pipeline / "face.pgm",
+               "--pose-file", pipeline / "pose.txt", "--out", out)
+
+
+def assert_one_line_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_datagen_deterministic_and_counted(tmp_path, model_file):
@@ -169,6 +202,87 @@ def test_full_pipeline_smoke(tmp_path, model_file):
     assert (ev / "heatmap_landmark.ppm").exists()
     table = (ev / "comparison.txt").read_text()
     assert "ief" in table and "landmark" in table
+
+
+def test_reconstruct_writes_mesh_and_shading_of_its_coefficients(
+        tmp_path, model_file, pipeline):
+    out = tmp_path / "recon"
+    assert reconstruct(model_file, pipeline, out) == 0
+    model = load_model(model_file)
+    mesh = synthesize_geometry(model, GeometryCoefficients.from_vector(
+        load_coeff_vector(out / "coefficients.bin"), model.n_id))
+    raster = render_shading_image(mesh, load_pose(pipeline / "pose.txt"), 64, 64)
+    assert raster.mask.any()
+    save_off(tmp_path / "mesh.off", mesh)
+    write_pgm(tmp_path / "shading.pgm", raster.image)
+    for name in ("mesh.off", "shading.pgm"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[:100],
+    lambda data: data[:6],
+    lambda data: data + b"\x00" * 8,
+], ids=["truncated", "short", "trailing"])
+def test_reconstruct_corrupt_predictor_names_file(tmp_path, model_file, pipeline,
+                                                  capsys, corrupt):
+    bad = tmp_path / "corrupt.prd"
+    bad.write_bytes(corrupt((pipeline / "p.prd").read_bytes()))
+    assert reconstruct(model_file, pipeline, tmp_path / "out", bad) == 1
+    assert_one_line_error(capsys, bad)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ln: None if ln.startswith("model_hash=") else ln,
+    lambda ln: "width=wide" if ln.startswith("width=") else ln,
+    lambda ln: "count=25" if ln.startswith("count=") else ln,
+    lambda ln: "count=3" if ln.startswith("count=") else ln,
+], ids=["missing_key", "non_integer", "count_over", "count_under"])
+def test_train_corrupt_manifest_names_file(tmp_path, model_file, pipeline,
+                                           capsys, edit):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    manifest = data / "manifest.txt"
+    lines = [edit(ln) for ln in manifest.read_text().splitlines()]
+    manifest.write_text("\n".join(ln for ln in lines if ln is not None) + "\n")
+    rc = run("train", "--model", model_file, "--dataset", data,
+             "--out", tmp_path / "p.prd")
+    assert rc == 1
+    assert_one_line_error(capsys, manifest)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[:200],
+    lambda data: data + data[-60:],
+], ids=["truncated", "extra_array"])
+def test_train_corrupt_sample_coeffs_names_file(tmp_path, model_file, pipeline,
+                                                capsys, corrupt):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    bad = data / "sample_000000_coeffs.bin"
+    bad.write_bytes(corrupt(bad.read_bytes()))
+    rc = run("train", "--model", model_file, "--dataset", data,
+             "--out", tmp_path / "p.prd")
+    assert rc == 1
+    assert_one_line_error(capsys, bad)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[:92],
+    lambda data: data[:91],
+    lambda data: data + b"\x00" * 8,
+], ids=["truncated_92", "truncated_91", "trailing"])
+def test_eval_corrupt_coeffs_names_file(tmp_path, model_file, pipeline, capsys,
+                                        corrupt):
+    bad = tmp_path / "gt.bin"
+    bad.write_bytes(corrupt((pipeline / "gt.bin").read_bytes()))
+    rc = run("eval", "--model", model_file, "--gt-coeffs", bad,
+             "--ief-coeffs", pipeline / "gt.bin",
+             "--landmarks-file", pipeline / "lms.txt",
+             "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev",
+             "--width", 64, "--height", 64)
+    assert rc == 1
+    assert_one_line_error(capsys, bad)
 
 
 def test_train_has_no_iterations_flag(capsys):

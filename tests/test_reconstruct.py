@@ -133,8 +133,8 @@ def test_zero_predictor_stays_at_mean(fit_model, corpus, cfg64):
     res = ief_reconstruct(s.face_image, s.pose, zero, fit_model, cfg64)
     for it in res.iterates:
         assert np.array_equal(it, np.zeros(40))
-    assert np.array_equal(res.final_mesh.vertices,
-                          fit_model.mean_mesh.vertices)
+    final = synthesize_geometry(fit_model, res.final_coefficients(fit_model))
+    assert np.array_equal(final.vertices, fit_model.mean_mesh.vertices)
 
 
 def test_loop_masks_input_by_estimate(fit_model, corpus, cfg64):

@@ -119,9 +119,10 @@ def test_phong_backfacing_is_dark():
 
 def test_phong_specular_lobe():
     ks = 0.04
-    lighting = LightingParams(0.0, 0.0, ks, 10.0, np.array([0.0, 0, 1]))
-    view = np.array([np.sin(np.pi / 4), 0.0, np.cos(np.pi / 4)])
-    out = phong_shade(np.ones(3), np.array([0.0, 0, 1]), lighting, view_dir=view)
+    # a light tilted by pi/4 reflects at pi/4 from the +z view direction
+    light = np.array([np.sin(np.pi / 4), 0.0, np.cos(np.pi / 4)])
+    lighting = LightingParams(0.0, 0.0, ks, 10.0, light)
+    out = phong_shade(np.ones(3), np.array([0.0, 0, 1]), lighting)
     expected = ks * np.cos(np.pi / 4) ** 10
     assert np.allclose(out, expected, rtol=1e-12)
 
@@ -207,7 +208,7 @@ def test_sample_pose_statistics_and_orthogonality():
 
 def test_nominal_focal_fills_fraction():
     mesh = quad_mesh(size=2.0)    # vertical extent 4
-    f = nominal_focal(mesh, 100, fill_frac=0.8)
+    f = nominal_focal(mesh, 100)
     assert np.isclose(f * 4, 80.0)
     assert face_width_of(mesh) == 4.0
 
