@@ -24,7 +24,6 @@ from .model import (GeometryCoefficients, build_procedural_model,
 from .model_io import load_model, save_model
 from .reconstruct import (IEFConfig, ief_reconstruct, load_predictor,
                           save_predictor, train_linear_predictor)
-from .render import render_shading_image
 
 
 def _cmd_model_gen(args) -> int:
@@ -76,13 +75,11 @@ def _cmd_reconstruct(args) -> int:
             f"predictor dims {predictor.weight.shape} do not match model/config: "
             f"expected ({n_coeffs}, {expected_in})")
     result = ief_reconstruct(image, pose, predictor, model, config)
-    mesh = synthesize_geometry(model, result.final_coefficients(model))
     os.makedirs(args.out, exist_ok=True)
     save_coeff_vector(os.path.join(args.out, "coefficients.bin"),
                       result.iterates[-1])
-    save_off(os.path.join(args.out, "mesh.off"), mesh)
-    write_pgm(os.path.join(args.out, "shading.pgm"),
-              render_shading_image(mesh, pose, w, h).image)
+    save_off(os.path.join(args.out, "mesh.off"), result.final_mesh)
+    write_pgm(os.path.join(args.out, "shading.pgm"), result.final_shading)
     print(f"wrote coefficients.bin, mesh.off, shading.pgm to {args.out}")
     return 0
 

@@ -3,10 +3,10 @@
 The loop starts at the mean face (all-zero coefficients), renders a shading
 image of the current estimate, masks the input image with the estimate's
 coverage, and asks the predictor for updated coefficients.  It returns the
-sequence of coefficient estimates; a caller that wants the final mesh or its
-shading image synthesizes and renders them itself.  The desk-scale predictor
-is a ridge-trained linear map on pooled-pixel features; anything with the
-same call signature plugs in unchanged.
+sequence of coefficient estimates with the mesh and shading image of the
+last one.  The desk-scale predictor is a ridge-trained linear map on
+pooled-pixel features; anything with the same call signature plugs in
+unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import defaults
-from .model import GeometryCoefficients, MorphableModel, synthesize_geometry
+from .model import (GeometryCoefficients, Mesh, MorphableModel,
+                    synthesize_geometry)
 from .render import PoseParams, render_shading_image
 
 
@@ -45,6 +46,8 @@ class IEFConfig:
 @dataclass
 class ReconstructionResult:
     iterates: list          # coefficient vectors, length iterations + 1; [0] is zero
+    final_mesh: Mesh        # geometry of iterates[-1]
+    final_shading: np.ndarray   # its shading image under the input pose
 
     def final_coefficients(self, model: MorphableModel) -> GeometryCoefficients:
         return GeometryCoefficients.from_vector(self.iterates[-1], model.n_id)
@@ -156,7 +159,12 @@ def ief_reconstruct(face_image: np.ndarray,
         if alpha.shape != (n_coeffs,):
             raise ValueError("predictor returned a wrong-sized coefficient vector")
         iterates.append(alpha.copy())
-    return ReconstructionResult(iterates)
+
+    final_mesh = synthesize_geometry(
+        model, GeometryCoefficients.from_vector(alpha, model.n_id))
+    final_shading = render_shading_image(final_mesh, pose,
+                                         config.width, config.height)
+    return ReconstructionResult(iterates, final_mesh, final_shading.image)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from synthface.cli import main
 from synthface.datagen import load_coeff_vector, save_coeff_vector
 from synthface.evaluate import project_landmarks, save_landmarks
-from synthface.image_io import read_pgm, write_pgm
+from synthface.image_io import write_pgm
 from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import GeometryCoefficients, synthesize_geometry
 from synthface.model_io import load_model, model_from_bytes, model_to_bytes
@@ -59,11 +59,11 @@ def test_model_gen_bad_dims(capsys):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory, model_file):
-    """A 4-sample dataset, a predictor trained on it, and one held-out face
+    """A 12-sample dataset, a predictor trained on it, and one held-out face
     with its pose, ground-truth coefficients and landmarks."""
     root = tmp_path_factory.mktemp("pipeline")
     assert run("datagen", "--model", model_file, "--out", root / "data",
-               "--seed", 5, "--count", 4, "--width", 64, "--height", 64) == 0
+               "--seed", 5, "--count", 12, "--width", 64, "--height", 64) == 0
     assert run("train", "--model", model_file, "--dataset", root / "data",
                "--out", root / "p.prd", "--ridge", 1.0) == 0
     model = load_model(model_file)
@@ -123,8 +123,7 @@ def test_datagen_corrupt_model_names_file(tmp_path, model_file, capsys, corrupt)
     bad.write_bytes(corrupt(model_file.read_bytes()))
     rc = run("datagen", "--model", bad, "--out", tmp_path / "d", "--count", 1)
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert_one_line_error(capsys, bad)
 
 
 def test_train_empty_dataset(tmp_path, model_file, capsys):
@@ -163,60 +162,33 @@ def test_defaults_dump_is_json(capsys):
     assert cfg["n_id"] == 200 and cfg["ief_iterations"] == 3
 
 
-def test_full_pipeline_smoke(tmp_path, model_file):
-    model = load_model(model_file)
-    data = tmp_path / "data"
-    assert run("datagen", "--model", model_file, "--out", data, "--seed", 5,
-               "--count", 12, "--width", 64, "--height", 64) == 0
-    pred = tmp_path / "p.prd"
-    assert run("train", "--model", model_file, "--dataset", data,
-               "--out", pred, "--ridge", 1.0) == 0
-
-    # held-out test face with known ground truth and pose
-    s = generate_sample(rng_for_sample(99, 0), model, 64, 64)
-    img = tmp_path / "face.pgm"
-    write_pgm(img, np.where(s.face_image > 0, s.face_image, 0.0))
-    pose_path = tmp_path / "pose.txt"
-    save_pose(pose_path, s.pose)
-    out = tmp_path / "recon"
-    assert run("reconstruct", "--model", model_file, "--predictor", pred,
-               "--image", img, "--pose-file", pose_path, "--out", out) == 0
-    assert (out / "mesh.off").exists()
-    assert (out / "shading.pgm").exists()
-    coeffs = load_coeff_vector(out / "coefficients.bin")
-    assert coeffs.shape == (15,)
-
-    gt_path = tmp_path / "gt.bin"
-    save_coeff_vector(gt_path, s.alpha_gt.vector)
-    lms = project_landmarks(model, s.alpha_gt, s.pose, 64, 64,
-                            model.landmark_indices)
-    lms_path = tmp_path / "lms.txt"
-    save_landmarks(lms_path, lms)
-    ev = tmp_path / "eval"
-    assert run("eval", "--model", model_file, "--gt-coeffs", gt_path,
-               "--ief-coeffs", out / "coefficients.bin",
-               "--landmarks-file", lms_path, "--pose-file", pose_path,
-               "--out", ev, "--width", 64, "--height", 64) == 0
-    assert (ev / "comparison.txt").exists()
-    assert (ev / "heatmap_ief.ppm").exists()
-    assert (ev / "heatmap_landmark.ppm").exists()
-    table = (ev / "comparison.txt").read_text()
-    assert "ief" in table and "landmark" in table
-
-
-def test_reconstruct_writes_mesh_and_shading_of_its_coefficients(
-        tmp_path, model_file, pipeline):
+def test_full_pipeline_smoke(tmp_path, model_file, pipeline):
     out = tmp_path / "recon"
     assert reconstruct(model_file, pipeline, out) == 0
     model = load_model(model_file)
-    mesh = synthesize_geometry(model, GeometryCoefficients.from_vector(
-        load_coeff_vector(out / "coefficients.bin"), model.n_id))
+    coeffs = load_coeff_vector(out / "coefficients.bin")
+    assert coeffs.shape == (15,)
+    # mesh.off and shading.pgm are the geometry of coefficients.bin and its
+    # render under the input pose
+    mesh = synthesize_geometry(model, GeometryCoefficients.from_vector(coeffs,
+                                                                       model.n_id))
     raster = render_shading_image(mesh, load_pose(pipeline / "pose.txt"), 64, 64)
     assert raster.mask.any()
     save_off(tmp_path / "mesh.off", mesh)
     write_pgm(tmp_path / "shading.pgm", raster.image)
     for name in ("mesh.off", "shading.pgm"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    ev = tmp_path / "eval"
+    assert run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
+               "--ief-coeffs", out / "coefficients.bin",
+               "--landmarks-file", pipeline / "lms.txt",
+               "--pose-file", pipeline / "pose.txt",
+               "--out", ev, "--width", 64, "--height", 64) == 0
+    assert (ev / "heatmap_ief.ppm").exists()
+    assert (ev / "heatmap_landmark.ppm").exists()
+    table = (ev / "comparison.txt").read_text()
+    assert "ief" in table and "landmark" in table
 
 
 @pytest.mark.parametrize("corrupt", [
