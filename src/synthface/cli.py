@@ -2,7 +2,8 @@
 
 Subcommands: model-gen, datagen, train, reconstruct, eval, defaults.
 Every seeded command is bytewise reproducible; all subcommands exit 0 on
-success and nonzero with a one-line diagnostic on failure.
+success and nonzero with a one-line diagnostic on failure.  Every malformed
+input file ends in ``error: <file>: <reason>`` and exit 1 (`image_io.names_file`).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     pose = load_pose(args.pose_file)
-    landmarks = load_landmarks(args.landmarks_file)
+    landmarks = load_landmarks(args.landmarks_file, model.n_vertices)
     gt = GeometryCoefficients.from_vector(load_coeff_vector(args.gt_coeffs),
                                           model.n_id)
     ief = GeometryCoefficients.from_vector(load_coeff_vector(args.ief_coeffs),

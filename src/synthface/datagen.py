@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .image_io import quantize, read_pgm, write_pgm
+from .image_io import names_file, quantize, read_pgm, write_pgm
 from .model import (GeometryCoefficients, MorphableModel,
                     sample_geometry_coefficients, sample_texture_coefficients,
                     synthesize_geometry, synthesize_texture)
@@ -64,17 +64,6 @@ def sample_intermediate(rng: np.random.Generator,
     return GeometryCoefficients.from_vector(vec, alpha_gt.alpha_id.shape[0])
 
 
-def render_face_image(model: MorphableModel, coeffs, tcoeffs, pose,
-                      lighting, width, height):
-    """Phong-shaded color render of the synthesized face, plus its raster."""
-    mesh = synthesize_geometry(model, coeffs)
-    tex = synthesize_texture(model, tcoeffs)
-    albedo = np.clip(tex.colors, 0.0, 1.0)
-    normals = compute_vertex_normals(mesh)
-    vertex_colors = phong_shade(albedo, normals, lighting)
-    return rasterize(mesh, vertex_colors, pose, width, height)
-
-
 def generate_sample(rng: np.random.Generator,
                     model: MorphableModel,
                     width: int = defaults.IMAGE_WIDTH,
@@ -88,12 +77,15 @@ def generate_sample(rng: np.random.Generator,
     mean_mesh = model.mean_mesh
     f0 = nominal_focal(mean_mesh, height)
     fw = face_width_of(mean_mesh)
+    # the Phong-shaded face does not depend on the pose: only rasterize retries
+    mesh_gt = synthesize_geometry(model, alpha_gt)
+    albedo = np.clip(synthesize_texture(model, tcoeffs).colors, 0.0, 1.0)
+    face_colors = phong_shade(albedo, compute_vertex_normals(mesh_gt), lighting)
     mesh_t = synthesize_geometry(model, alpha_t)
 
-    for attempt in range(MAX_POSE_RETRIES):
+    for _ in range(MAX_POSE_RETRIES):
         pose = sample_pose(rng, f0, fw)
-        face_raster = render_face_image(model, alpha_gt, tcoeffs, pose,
-                                        lighting, width, height)
+        face_raster = rasterize(mesh_gt, face_colors, pose, width, height)
         shading_raster = render_shading_image(mesh_t, pose, width, height)
         if face_raster.mask.any() and shading_raster.mask.any():
             break
@@ -131,11 +123,11 @@ def _read_arrays(path):
     pos = 0
     while pos < len(data):
         if len(data) - pos < 4:
-            raise ValueError(f"{path}: truncated length prefix at byte {pos}")
+            raise ValueError(f"truncated length prefix at byte {pos}")
         n = struct.unpack_from("<I", data, pos)[0]
         pos += 4
         if len(data) - pos < 8 * n:
-            raise ValueError(f"{path}: array {len(arrays)} declares {n} values "
+            raise ValueError(f"array {len(arrays)} declares {n} values "
                              f"({8 * n} bytes) but {len(data) - pos} bytes remain")
         arrays.append(np.frombuffer(data, dtype="<f8", count=n, offset=pos).copy())
         pos += 8 * n
@@ -147,11 +139,11 @@ def save_coeff_vector(path, vec: np.ndarray) -> None:
     _write_arrays(path, [vec])
 
 
+@names_file
 def load_coeff_vector(path) -> np.ndarray:
     arrays = _read_arrays(path)
     if len(arrays) != 1:
-        raise ValueError(f"{path}: expected one coefficient array, "
-                         f"found {len(arrays)}")
+        raise ValueError(f"expected one coefficient array, found {len(arrays)}")
     return arrays[0]
 
 
@@ -167,11 +159,12 @@ def save_sample_coeffs(path, sample: TrainingSample) -> None:
                          pose_vec, light_vec])
 
 
+@names_file
 def load_sample_coeffs(path, n_id: int):
     arrays = _read_arrays(path)
     sizes = [a.shape[0] for a in arrays]
     if len(sizes) != 4 or sizes[2:] != [13, 7]:
-        raise ValueError(f"{path}: expected 4 arrays (alpha_t, alpha_gt, 13 pose "
+        raise ValueError(f"expected 4 arrays (alpha_t, alpha_gt, 13 pose "
                          f"and 7 lighting values), found lengths {sizes}")
     at, agt, pose_vec, light_vec = arrays
     pose = PoseParams(float(pose_vec[0]), pose_vec[1:10].reshape(3, 3),
@@ -242,6 +235,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+@names_file
 def load_manifest(path) -> DatasetManifest:
     header = {}
     entries = []
@@ -254,18 +248,15 @@ def load_manifest(path) -> DatasetManifest:
         k += 1
     missing = [key for key in MANIFEST_KEYS if key not in header]
     if missing:
-        raise ValueError(f"{path}: missing header keys {', '.join(missing)}")
-    try:
-        count, width, height, master_seed = (int(header[key])
-                                             for key in MANIFEST_KEYS[1:])
-        for ln in lines[k:]:
-            if ln.strip():
-                sid, face_f, shade_f, coeff_f = ln.split()
-                entries.append((int(sid), face_f, shade_f, coeff_f))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"missing header keys {', '.join(missing)}")
+    count, width, height, master_seed = (int(header[key])
+                                         for key in MANIFEST_KEYS[1:])
+    for ln in lines[k:]:
+        if ln.strip():
+            sid, face_f, shade_f, coeff_f = ln.split()
+            entries.append((int(sid), face_f, shade_f, coeff_f))
     if entries and count != len(entries):
-        raise ValueError(f"{path}: count={count} but {len(entries)} entries")
+        raise ValueError(f"count={count} but {len(entries)} entries")
     manifest = DatasetManifest(header["model_hash"], count, width, height,
                                master_seed, entries)
     base = os.path.dirname(os.path.abspath(path))

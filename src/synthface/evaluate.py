@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
+from .image_io import names_file
 from .model import GeometryCoefficients, Mesh, MorphableModel, synthesize_geometry
 from .render import PoseParams, project_vertices, rasterize
 
@@ -179,7 +180,9 @@ def save_landmarks(path, landmarks: LandmarkSet) -> None:
             f.write(f"{int(idx)} {float(px)!r} {float(py)!r}\n")
 
 
-def load_landmarks(path) -> LandmarkSet:
+@names_file
+def load_landmarks(path, n_vertices: int) -> LandmarkSet:
+    """Landmarks of a model with `n_vertices` vertices, one `index x y` per line."""
     indices = []
     points = []
     with open(path) as f:
@@ -190,7 +193,11 @@ def load_landmarks(path) -> LandmarkSet:
             idx, px, py = line.split()
             indices.append(int(idx))
             points.append((float(px), float(py)))
-    return LandmarkSet(np.array(indices), np.array(points))
+    landmarks = LandmarkSet(np.array(indices), np.array(points))
+    idx = landmarks.vertex_indices
+    if idx.min() < 0 or idx.max() >= n_vertices:
+        raise ValueError(f"landmark vertex index out of range for {n_vertices} vertices")
+    return landmarks
 
 
 def format_report(report: ErrorReport, label: str = "") -> str:

@@ -1,8 +1,22 @@
-"""Binary 8-bit image files: PGM (read and written) and PPM (written only)."""
+"""Binary 8-bit PGM (read and written) and PPM (written) files, and `names_file`."""
 
 from __future__ import annotations
 
+import functools
+import struct
+
 import numpy as np
+
+
+def names_file(reader):
+    """Every file reader's one way to fail: ``ValueError("<path>: <reason>")``."""
+    @functools.wraps(reader)
+    def read(path, *args):
+        try:
+            return reader(path, *args)
+        except (ValueError, struct.error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return read
 
 
 def quantize(img: np.ndarray) -> np.ndarray:
@@ -35,26 +49,23 @@ def write_ppm(path, img: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def _read_pnm_header(f):
-    magic = f.readline().strip()
-    fields = []
-    while len(fields) < 3:
-        line = f.readline()
-        if not line:
-            raise ValueError("truncated PNM header")
-        text = line.split(b"#")[0]
-        fields += text.split()
-    w, h, maxval = (int(x) for x in fields[:3])
-    if maxval != 255:
-        raise ValueError(f"unsupported PNM maxval {maxval}")
-    return magic, w, h
-
-
+@names_file
 def read_pgm(path) -> np.ndarray:
     """Returns float image (H, W) with values k/255."""
     with open(path, "rb") as f:
-        magic, w, h = _read_pnm_header(f)
+        magic = f.readline().strip()
         if magic != b"P5":
             raise ValueError(f"not a binary PGM file: magic {magic!r}")
-        data = np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)
-    return data.astype(np.float64) / 255.0
+        fields = []
+        while len(fields) < 3:
+            line = f.readline()
+            if not line:
+                raise ValueError("truncated PGM header")
+            fields += line.split(b"#")[0].split()
+        w, h, maxval = (int(x) for x in fields[:3])
+        if maxval != 255:
+            raise ValueError(f"unsupported PGM maxval {maxval}")
+        data = f.read()
+    if len(data) != w * h:
+        raise ValueError(f"{len(data)} pixel bytes, expected {w * h} for {w}x{h}")
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w) / 255.0

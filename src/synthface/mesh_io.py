@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .image_io import names_file
 from .model import Mesh
 from .render import PoseParams
 
@@ -29,23 +30,24 @@ def save_pose(path, pose: PoseParams) -> None:
         f.write(f"t {float(t[0])!r} {float(t[1])!r} {float(t[2])!r}\n")
 
 
+@names_file
 def load_pose(path) -> PoseParams:
-    f_val = None
-    rows = []
-    t = None
+    """Needs one `f` line of 1 value, three `R` rows and one `t` line of 3."""
+    lines = {"f": [], "R": [], "t": []}
     with open(path) as fh:
         for line in fh:
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "f":
-                f_val = float(parts[1])
-            elif parts[0] == "R":
-                rows.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "t":
-                t = np.array([float(x) for x in parts[1:4]])
-            else:
+            key = parts[0]
+            if key not in lines:
                 raise ValueError(f"unrecognized pose file line: {line.strip()!r}")
-    if f_val is None or len(rows) != 3 or t is None:
+            values = [float(x) for x in parts[1:]]
+            width = 1 if key == "f" else 3
+            if len(values) != width:
+                raise ValueError(f"pose line {line.strip()!r} has {len(values)} "
+                                 f"values, expected {width}")
+            lines[key].append(values)
+    if [len(lines[key]) for key in "fRt"] != [1, 3, 1]:
         raise ValueError("pose file must contain f, three R rows and t")
-    return PoseParams(f_val, np.array(rows), t)
+    return PoseParams(lines["f"][0][0], np.array(lines["R"]), np.array(lines["t"][0]))

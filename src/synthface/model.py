@@ -91,7 +91,7 @@ class MorphableModel:
     basis_tex: np.ndarray      # (3N, n_tex)
     triangles: np.ndarray      # (M, 3) int
     landmark_indices: np.ndarray | None = None   # optional, 68 vertex indices
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n3 = self.mu_shape.shape[0]
@@ -105,6 +105,9 @@ class MorphableModel:
                 raise ValueError(f"{name} contains non-finite values")
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise ValueError("triangle index out of range")
+        lmk = self.landmark_indices
+        if lmk is not None and lmk.size and (lmk.min() < 0 or lmk.max() >= self.n_vertices):
+            raise ValueError(f"landmark vertex index out of range for {self.n_vertices} vertices")
 
     @property
     def n_vertices(self) -> int:
@@ -249,6 +252,10 @@ def build_procedural_model(seed: int,
             "increase grid_resolution")
     if n_tex > 3 * n:
         raise ValueError(f"n_tex = {n_tex} exceeds 3N = {3 * n}")
+    layout = _landmark_layout()
+    if n < len(layout):
+        raise ValueError(f"N = {n} vertices is fewer than the {len(layout)} "
+                         "landmarks; increase grid_resolution")
 
     rng = np.random.default_rng(np.random.SeedSequence([0x5F4CE, seed]))
 
@@ -291,7 +298,7 @@ def build_procedural_model(seed: int,
     mu_tex[:, 1] = 0.60 + 0.04 * v
     mu_tex[:, 2] = 0.50 + 0.03 * v
 
-    landmarks = _nearest_unique_vertices(np.stack([u, v], axis=1), _landmark_layout())
+    landmarks = _nearest_unique_vertices(np.stack([u, v], axis=1), layout)
 
     return MorphableModel(
         mu_shape=verts.reshape(-1),

@@ -2,10 +2,10 @@
 
 Layout (little-endian): magic ``MFM1``; u32 N, M, n_id, n_exp, n_tex; then
 float64 arrays mu_S, A_id (column-major), A_exp, mu_T, A_T; u32 triangle
-triples; optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices.
-Round-trips are bit-exact.  Loading rejects a file whose shape basis
-``[A_id | A_exp]`` is not orthonormal: the vertex-space loss, the ridge
-predictor and the landmark prior all rely on that.
+triples; optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices,
+which ends the file.  Round-trips are bit-exact.  Loading rejects a file
+whose shape basis ``[A_id | A_exp]`` is not orthonormal: the vertex-space
+loss, the ridge predictor and the landmark prior all rely on that.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ import struct
 
 import numpy as np
 
+from .image_io import names_file
 from .model import MorphableModel
 
 MAGIC = b"MFM1"
 LANDMARK_MAGIC = b"LMK1"
-
-
-class ModelFormatError(ValueError):
-    pass
 
 
 def model_to_bytes(model: MorphableModel) -> bytes:
@@ -47,7 +44,7 @@ def model_to_bytes(model: MorphableModel) -> bytes:
 
 def model_from_bytes(data: bytes) -> MorphableModel:
     if data[:4] != MAGIC:
-        raise ModelFormatError(f"bad model magic {data[:4]!r}, expected {MAGIC!r}")
+        raise ValueError(f"bad model magic {data[:4]!r}, expected {MAGIC!r}")
     off = 4
     n, m, n_id, n_exp, n_tex = struct.unpack_from("<5I", data, off)
     off += 20
@@ -72,15 +69,18 @@ def model_from_bytes(data: bytes) -> MorphableModel:
     landmarks = None
     if off < len(data):
         if data[off:off + 4] != LANDMARK_MAGIC:
-            raise ModelFormatError("unrecognized trailer in model file")
+            raise ValueError("unrecognized trailer in model file")
         k = struct.unpack_from("<I", data, off + 4)[0]
         landmarks = np.frombuffer(data, dtype="<u4", count=k, offset=off + 8) \
             .copy().astype(np.int64)
+        off += 8 + 4 * k
+        if off != len(data):
+            raise ValueError(f"{len(data) - off} bytes after the landmark trailer")
     model = MorphableModel(mu_s, a_id, a_exp, mu_t, a_tex, tris,
                            landmark_indices=landmarks)
     basis = model.shape_basis
     if not np.allclose(basis.T @ basis, np.eye(n_id + n_exp), atol=1e-8):
-        raise ModelFormatError("shape basis [A_id | A_exp] is not orthonormal")
+        raise ValueError("shape basis [A_id | A_exp] is not orthonormal")
     return model
 
 
@@ -89,15 +89,14 @@ def save_model(model: MorphableModel, path) -> None:
         f.write(model_to_bytes(model))
 
 
+@names_file
 def load_model(path) -> MorphableModel:
     with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return model_from_bytes(data)
-    except (ValueError, struct.error) as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+        return model_from_bytes(f.read())
 
 
 def model_digest(model: MorphableModel) -> str:
-    """SHA-256 hex digest of the serialized model."""
-    return hashlib.sha256(model_to_bytes(model)).hexdigest()
+    """SHA-256 hex digest of the serialized model, computed once per model."""
+    if "digest" not in model._cache:
+        model._cache["digest"] = hashlib.sha256(model_to_bytes(model)).hexdigest()
+    return model._cache["digest"]

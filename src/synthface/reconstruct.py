@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import defaults
+from .image_io import names_file
 from .model import (GeometryCoefficients, Mesh, MorphableModel,
                     synthesize_geometry)
 from .render import PoseParams, render_shading_image
@@ -181,18 +182,19 @@ def save_predictor(path, predictor: LinearPredictor) -> None:
         f.write(predictor.bias.astype("<f8").tobytes())
 
 
+@names_file
 def load_predictor(path) -> LinearPredictor:
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != PREDICTOR_MAGIC:
-        raise ValueError(f"{path}: bad predictor magic {data[:4]!r}")
+        raise ValueError(f"bad predictor magic {data[:4]!r}")
     if len(data) < 12:
-        raise ValueError(f"{path}: {len(data)} bytes, shorter than the 12-byte header")
+        raise ValueError(f"{len(data)} bytes, shorter than the 12-byte header")
     feature_dim, n_coeffs = struct.unpack_from("<II", data, 4)
     n_in = feature_dim + n_coeffs
     expected = 12 + 8 * (n_coeffs * n_in + n_coeffs)
     if len(data) != expected:
-        raise ValueError(f"{path}: {len(data)} bytes, expected {expected} for "
+        raise ValueError(f"{len(data)} bytes, expected {expected} for "
                          f"feature_dim={feature_dim} n_coeffs={n_coeffs}")
     weight = np.frombuffer(data, dtype="<f8", count=n_coeffs * n_in,
                            offset=12).copy().reshape(n_coeffs, n_in)

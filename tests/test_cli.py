@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -109,7 +110,7 @@ def test_datagen_missing_model(tmp_path, capsys):
 
 def _non_orthonormal(data):
     model = model_from_bytes(data)
-    return model_to_bytes(replace(model, basis_id=2.0 * model.basis_id, _cache={}))
+    return model_to_bytes(replace(model, basis_id=2.0 * model.basis_id))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -117,7 +118,10 @@ def _non_orthonormal(data):
     lambda data: data[:200],
     lambda data: data[:10],
     _non_orthonormal,
-], ids=["junk", "truncated", "short", "non_orthonormal"])
+    lambda data: data[:-4] + struct.pack("<I", 5000),
+    lambda data: data + b"\x00" * 8,
+], ids=["junk", "truncated", "short", "non_orthonormal", "landmark_5000",
+        "trailing"])
 def test_datagen_corrupt_model_names_file(tmp_path, model_file, capsys, corrupt):
     bad = tmp_path / "corrupt.mfm"
     bad.write_bytes(corrupt(model_file.read_bytes()))
@@ -204,6 +208,33 @@ def test_reconstruct_corrupt_predictor_names_file(tmp_path, model_file, pipeline
     assert_one_line_error(capsys, bad)
 
 
+def _text_lines(edit):
+    """Corrupt a text file by editing its list of lines."""
+    return lambda data: ("\n".join(edit(data.decode().splitlines())) + "\n").encode()
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("face.pgm", lambda data: data[:1000]),
+    ("face.pgm", lambda data: data + b"\x00\x00"),
+    ("pose.txt", _text_lines(lambda ls: ["f abc"] + ls[1:])),
+    ("pose.txt", _text_lines(lambda ls: [ls[0] + " 1.0"] + ls[1:])),
+    ("pose.txt", _text_lines(
+        lambda ls: ls[:1] + ["R " + " ".join(str(2 * float(v)) for v in ls[1].split()[1:])]
+        + ls[2:])),
+    ("pose.txt", _text_lines(lambda ls: ls[:1] + [" ".join(ls[1].split()[:3])] + ls[2:])),
+    ("pose.txt", _text_lines(lambda ls: ls[:-1] + [ls[-1] + " 1.0"])),
+], ids=["pgm_cut_1000", "pgm_trailing", "pose_f_abc", "pose_f_two_values",
+        "pose_R_scaled", "pose_R_two_values", "pose_t_four_values"])
+def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
+                                              capsys, name, corrupt):
+    for f in ("p.prd", "face.pgm", "pose.txt"):
+        shutil.copy(pipeline / f, tmp_path)
+    bad = tmp_path / name
+    bad.write_bytes(corrupt(bad.read_bytes()))
+    assert reconstruct(model_file, tmp_path, tmp_path / "out") == 1
+    assert_one_line_error(capsys, bad)
+
+
 @pytest.mark.parametrize("edit", [
     lambda ln: None if ln.startswith("model_hash=") else ln,
     lambda ln: "width=wide" if ln.startswith("width=") else ln,
@@ -223,10 +254,17 @@ def test_train_corrupt_manifest_names_file(tmp_path, model_file, pipeline,
     assert_one_line_error(capsys, manifest)
 
 
+def _negative_shininess(data):
+    # the lighting array, last in the file, is ka kd ks shininess dir[3]
+    shininess = len(data) - 4 * 8
+    return data[:shininess] + struct.pack("<d", -1.0) + data[shininess + 8:]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda data: data[:200],
     lambda data: data + data[-60:],
-], ids=["truncated", "extra_array"])
+    _negative_shininess,
+], ids=["truncated", "extra_array", "negative_shininess"])
 def test_train_corrupt_sample_coeffs_names_file(tmp_path, model_file, pipeline,
                                                 capsys, corrupt):
     data = tmp_path / "data"
@@ -254,6 +292,25 @@ def test_eval_corrupt_coeffs_names_file(tmp_path, model_file, pipeline, capsys,
              "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev",
              "--width", 64, "--height", 64)
     assert rc == 1
+    assert_one_line_error(capsys, bad)
+
+
+def eval_landmarks(model_file, pipeline, out, landmarks):
+    return run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
+               "--ief-coeffs", pipeline / "gt.bin", "--landmarks-file", landmarks,
+               "--pose-file", pipeline / "pose.txt", "--out", out,
+               "--width", 64, "--height", 64)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _text_lines(lambda ls: ls + ["5 1.0"]),
+    _text_lines(lambda ls: ["5000 " + ls[0].split(maxsplit=1)[1]] + ls[1:]),
+], ids=["two_values", "index_5000"])
+def test_eval_corrupt_landmarks_names_file(tmp_path, model_file, pipeline,
+                                           capsys, corrupt):
+    bad = tmp_path / "lms.txt"
+    bad.write_bytes(corrupt((pipeline / "lms.txt").read_bytes()))
+    assert eval_landmarks(model_file, pipeline, tmp_path / "ev", bad) == 1
     assert_one_line_error(capsys, bad)
 
 

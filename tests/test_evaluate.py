@@ -203,7 +203,7 @@ def test_landmark_file_roundtrip(tmp_path, rng):
     lms = LandmarkSet(np.array([3, 9, 27]), rng.uniform(0, 64, (3, 2)))
     path = tmp_path / "lms.txt"
     save_landmarks(path, lms)
-    loaded = load_landmarks(path)
+    loaded = load_landmarks(path, 28)
     assert np.array_equal(loaded.vertex_indices, lms.vertex_indices)
     assert np.array_equal(loaded.image_points, lms.image_points)
 

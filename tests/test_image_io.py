@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synthface.datagen import (generate_sample, load_coeff_vector,
+                               load_sample_coeffs, save_coeff_vector,
+                               save_sample_coeffs)
 from synthface.image_io import quantize, read_pgm, write_pgm, write_ppm
+from synthface.model import build_procedural_model
+from synthface.model_io import LANDMARK_MAGIC, load_model, save_model
+from synthface.reconstruct import LinearPredictor, load_predictor, save_predictor
 
 
 def test_pgm_roundtrip_bit_exact(tmp_path, rng):
@@ -54,3 +60,46 @@ def test_quantize_idempotent_and_on_grid(value):
     assert np.all(q >= 0.0) and np.all(q <= 1.0)
     steps = q * 255.0
     assert np.abs(steps - np.round(steps)).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Every reader names its file: each cut of a valid file is a ValueError
+# whose message starts with the path
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """name -> (path of a valid file, its reader, cut lengths that stay valid)."""
+    root = tmp_path_factory.mktemp("valid")
+    model = build_procedural_model(1, 3, 2, 2, 9)
+    sample = generate_sample(np.random.default_rng(3), model, 16, 16)
+    save_model(model, root / "m.mfm")
+    save_predictor(root / "p.prd", LinearPredictor(np.ones((2, 5)), np.ones(2)))
+    save_coeff_vector(root / "v.bin", sample.alpha_gt.vector)
+    save_sample_coeffs(root / "s.bin", sample)
+    write_pgm(root / "f.pgm", sample.face_image)
+    # cutting off exactly the optional landmark trailer leaves a valid model
+    trailer = (root / "m.mfm").read_bytes().rfind(LANDMARK_MAGIC)
+    return {"mfm1": (root / "m.mfm", load_model, {trailer}),
+            "prd1": (root / "p.prd", load_predictor, set()),
+            "coeff_vector": (root / "v.bin", load_coeff_vector, set()),
+            "sample_coeffs": (root / "s.bin",
+                              lambda path: load_sample_coeffs(path, model.n_id), set()),
+            "pgm": (root / "f.pgm", read_pgm, set())}
+
+
+@pytest.mark.parametrize("name", ["mfm1", "prd1", "coeff_vector",
+                                  "sample_coeffs", "pgm"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_cut_of_a_valid_file_names_it(valid_files, tmp_path_factory,
+                                            name, data):
+    path, reader, still_valid = valid_files[name]
+    whole = path.read_bytes()
+    reader(path)
+    cut = data.draw(st.integers(0, len(whole) - 1)
+                    .filter(lambda n: n not in still_valid), label="cut")
+    bad = tmp_path_factory.getbasetemp() / f"cut_{path.name}"
+    bad.write_bytes(whole[:cut])
+    with pytest.raises(ValueError) as err:
+        reader(bad)
+    assert str(err.value).startswith(f"{bad}: ")

@@ -38,6 +38,12 @@ def test_builder_rejects_oversized_basis():
         build_procedural_model(1, 2000, 84, 5, 16)
 
 
+def test_builder_rejects_grid_with_fewer_vertices_than_landmarks():
+    with pytest.raises(ValueError, match="fewer than the 68 landmarks"):
+        build_procedural_model(1, 3, 2, 2, 8)
+    assert build_procedural_model(1, 3, 2, 2, 9).landmark_indices.max() < 81
+
+
 def test_combined_basis_orthonormal(small_model):
     b = small_model.shape_basis
     gram = b.T @ b

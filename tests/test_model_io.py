@@ -1,8 +1,12 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from synthface.model_io import (ModelFormatError, load_model, model_digest,
-                                model_from_bytes, model_to_bytes, save_model)
+from synthface import model_io
+from synthface.model_io import (load_model, model_digest, model_from_bytes,
+                                model_to_bytes, save_model)
 
 
 def test_bytes_roundtrip_bit_exact(small_model):
@@ -29,7 +33,7 @@ def test_digest_is_stable_and_discriminating(small_model, fit_model):
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "bad.mfm"
     path.write_bytes(b"XXXX" + b"\x00" * 64)
-    with pytest.raises(ModelFormatError) as err:
+    with pytest.raises(ValueError) as err:
         load_model(path)
     # the error must name the offending file
     assert str(path) in str(err.value)
@@ -40,19 +44,45 @@ def test_corrupt_trailer_raises(small_model):
     # truncate inside the landmark trailer and damage its magic
     cut = data.rfind(b"LMK1")
     corrupted = data[:cut] + b"ZZZ9" + data[cut + 4:]
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ValueError):
         model_from_bytes(corrupted)
 
 
 def test_model_without_landmarks_roundtrips(small_model):
-    from dataclasses import replace
-    bare = replace(small_model, landmark_indices=None, _cache={})
+    bare = replace(small_model, landmark_indices=None)
     loaded = model_from_bytes(model_to_bytes(bare))
     assert loaded.landmark_indices is None
 
 
 def test_non_orthonormal_basis_rejected(small_model):
-    from dataclasses import replace
-    scaled = replace(small_model, basis_id=2.0 * small_model.basis_id, _cache={})
-    with pytest.raises(ModelFormatError, match="not orthonormal"):
+    scaled = replace(small_model, basis_id=2.0 * small_model.basis_id)
+    with pytest.raises(ValueError, match="not orthonormal"):
         model_from_bytes(model_to_bytes(scaled))
+
+
+def test_landmark_trailer_index_out_of_range_rejected(small_model):
+    data = model_to_bytes(small_model)
+    last = len(data) - 4        # the trailer's last landmark index
+    bad = data[:last] + struct.pack("<I", small_model.n_vertices)
+    with pytest.raises(ValueError, match="landmark vertex index out of range"):
+        model_from_bytes(bad)
+
+
+def test_bytes_after_landmark_trailer_rejected(small_model):
+    with pytest.raises(ValueError, match="8 bytes after the landmark trailer"):
+        model_from_bytes(model_to_bytes(small_model) + b"\x00" * 8)
+
+
+def test_digest_serializes_once_per_model(small_model, monkeypatch):
+    model = replace(small_model)            # a fresh cache
+    calls = []
+
+    def counting_to_bytes(m):
+        calls.append(m)
+        return model_to_bytes(m)
+
+    monkeypatch.setattr(model_io, "model_to_bytes", counting_to_bytes)
+    first = model_digest(model)
+    assert model_digest(model) == first and len(calls) == 1
+    changed = replace(model, basis_tex=-model.basis_tex)
+    assert model_digest(changed) != first and len(calls) == 2
