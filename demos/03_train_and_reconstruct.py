@@ -30,7 +30,7 @@ test = [generate_sample(rng_for_sample(1, i), model, SIZE, SIZE, sample_id=i)
         for i in range(N_TEST)]
 
 predictor = train_linear_predictor(train, model, config, ridge_lambda=1.0)
-print(f"trained predictor: {predictor.feature_dim} features -> "
+print(f"trained predictor: {config.feature_dim} features -> "
       f"{predictor.n_coeffs} coefficients")
 
 losses = np.zeros(config.iterations + 1)

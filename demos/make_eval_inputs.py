@@ -2,17 +2,21 @@
 
 Synthesizes one held-out test face from a model file and writes:
   face.pgm        masked grayscale face image
-  pose.txt        the ground-truth pose used to render it
+  pose.txt        the ground-truth pose used to render it, with the image size
   landmarks.txt   projected ground-truth landmark annotations
   gt.bin          ground-truth geometry coefficients
 
 Usage:
   python demos/make_eval_inputs.py --model model.mfm --out eval_inputs \
       --seed 123 --width 64 --height 64
+
+A malformed input prints one `error: <file>: <reason>` line and exits 1,
+as the `synthface` commands do.
 """
 
 import argparse
 import os
+import sys
 
 from synthface.datagen import generate_sample, rng_for_sample, save_coeff_vector
 from synthface.evaluate import project_landmarks, save_landmarks
@@ -35,7 +39,8 @@ def main():
                              args.width, args.height)
     os.makedirs(args.out, exist_ok=True)
     write_pgm(os.path.join(args.out, "face.pgm"), sample.face_image)
-    save_pose(os.path.join(args.out, "pose.txt"), sample.pose)
+    save_pose(os.path.join(args.out, "pose.txt"), sample.pose,
+              args.width, args.height)
     save_coeff_vector(os.path.join(args.out, "gt.bin"),
                       sample.alpha_gt.vector)
     landmarks = project_landmarks(model, sample.alpha_gt, sample.pose,
@@ -46,4 +51,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError, RuntimeError) as exc:
+        sys.exit(f"error: {exc}")

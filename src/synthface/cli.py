@@ -4,6 +4,8 @@ Subcommands: model-gen, datagen, train, reconstruct, eval, defaults.
 Every seeded command is bytewise reproducible; all subcommands exit 0 on
 success and nonzero with a one-line diagnostic on failure.  Every malformed
 input file ends in ``error: <file>: <reason>`` and exit 1 (`image_io.names_file`).
+`reconstruct` takes image size and pooling from the predictor and rejects an
+image, pose or model other than its own; `eval` takes the size from the pose.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .datagen import (generate_dataset, load_coeff_vector, load_dataset,
                       save_coeff_vector)
 from .evaluate import (format_report, landmark_fit, load_landmarks,
                        error_heatmap, optimal_similarity_align, pointwise_error)
-from .image_io import read_pgm, write_pgm, write_ppm
+from .image_io import check_size, read_pgm, write_pgm, write_ppm
 from .mesh_io import load_pose, save_off
 from .model import (GeometryCoefficients, build_procedural_model,
                     synthesize_geometry)
-from .model_io import load_model, save_model
+from .model_io import check_model, load_model, save_model
 from .reconstruct import (IEFConfig, ief_reconstruct, load_predictor,
                           save_predictor, train_linear_predictor)
 
@@ -49,14 +51,12 @@ def _cmd_datagen(args) -> int:
 def _cmd_train(args) -> int:
     model = load_model(args.model)
     samples = load_dataset(args.dataset, model)
-    if not samples:
-        raise ValueError(f"{args.dataset}: dataset has no samples")
     h, w = samples[0].face_image.shape
     config = IEFConfig(width=w, height=h, feature_downsample=args.downsample)
     predictor = train_linear_predictor(samples, model, config,
                                        ridge_lambda=args.ridge)
     save_predictor(args.out, predictor)
-    print(f"wrote {args.out}: feature_dim={predictor.feature_dim} "
+    print(f"wrote {args.out}: feature_dim={config.feature_dim} "
           f"n_coeffs={predictor.n_coeffs} ridge={args.ridge}")
     return 0
 
@@ -64,17 +64,15 @@ def _cmd_train(args) -> int:
 def _cmd_reconstruct(args) -> int:
     model = load_model(args.model)
     predictor = load_predictor(args.predictor)
+    check_model(args.predictor, predictor.model_digest, model)
     image = read_pgm(args.image)
-    pose = load_pose(args.pose_file)
-    h, w = image.shape
-    config = IEFConfig(iterations=args.iterations, width=w, height=h,
-                       feature_downsample=args.downsample)
-    n_coeffs = model.n_id + model.n_exp
-    expected_in = config.feature_dim + n_coeffs
-    if predictor.weight.shape != (n_coeffs, expected_in):
-        raise ValueError(
-            f"predictor dims {predictor.weight.shape} do not match model/config: "
-            f"expected ({n_coeffs}, {expected_in})")
+    size = image.shape[::-1]
+    check_size(args.image, size, (predictor.width, predictor.height),
+               args.predictor)
+    pose, pose_size = load_pose(args.pose_file)
+    check_size(args.pose_file, pose_size, size, args.image)
+    config = IEFConfig(args.iterations, predictor.width, predictor.height,
+                       predictor.feature_downsample)
     result = ief_reconstruct(image, pose, predictor, model, config)
     os.makedirs(args.out, exist_ok=True)
     save_coeff_vector(os.path.join(args.out, "coefficients.bin"),
@@ -87,13 +85,13 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    pose = load_pose(args.pose_file)
+    pose, (width, height) = load_pose(args.pose_file)
     landmarks = load_landmarks(args.landmarks_file, model.n_vertices)
     gt = GeometryCoefficients.from_vector(load_coeff_vector(args.gt_coeffs),
                                           model.n_id)
     ief = GeometryCoefficients.from_vector(load_coeff_vector(args.ief_coeffs),
                                            model.n_id)
-    baseline = landmark_fit(landmarks, pose, model, args.width, args.height,
+    baseline = landmark_fit(landmarks, pose, model, width, height,
                             lambda_reg=args.ridge)
 
     gt_mesh = synthesize_geometry(model, gt)
@@ -106,7 +104,7 @@ def _cmd_eval(args) -> int:
         rows.append((label, report))
         with open(os.path.join(args.out, f"report_{label}.txt"), "w") as f:
             f.write(format_report(report, label))
-        heat = error_heatmap(mesh, report, pose, args.width, args.height)
+        heat = error_heatmap(mesh, report, pose, width, height)
         write_ppm(os.path.join(args.out, f"heatmap_{label}.ppm"), heat)
 
     table = f"{'method':<12} {'mean':>12} {'median':>12} {'rms':>12}\n"
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the linear predictor on a dataset")
     p.add_argument("--model", required=True, help="MFM1 model file")
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="output PRD1 predictor file")
+    p.add_argument("--out", required=True, help="output PRD2 predictor file")
     p.add_argument("--ridge", type=float, default=defaults.RIDGE_LAMBDA,
                    help=f"ridge strength (default {defaults.RIDGE_LAMBDA})")
     p.add_argument("--downsample", type=int, default=defaults.FEATURE_DOWNSAMPLE,
@@ -172,15 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct",
                        help="iterative reconstruction of one image")
     p.add_argument("--model", required=True, help="MFM1 model file")
-    p.add_argument("--predictor", required=True, help="PRD1 predictor file")
+    p.add_argument("--predictor", required=True, help="PRD2 predictor file")
     p.add_argument("--image", required=True, help="input face image (PGM)")
     p.add_argument("--pose-file", required=True, dest="pose_file",
                    help="pose parameter text file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--iterations", type=int, default=defaults.IEF_ITERATIONS,
                    help=f"loop iterations (default {defaults.IEF_ITERATIONS})")
-    p.add_argument("--downsample", type=int, default=defaults.FEATURE_DOWNSAMPLE,
-                   help=f"feature pooling factor (default {defaults.FEATURE_DOWNSAMPLE})")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("eval",
@@ -196,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose-file", required=True, dest="pose_file",
                    help="pose parameter text file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--width", type=int, default=defaults.IMAGE_WIDTH,
-                   help=f"image width (default {defaults.IMAGE_WIDTH})")
-    p.add_argument("--height", type=int, default=defaults.IMAGE_HEIGHT,
-                   help=f"image height (default {defaults.IMAGE_HEIGHT})")
     p.add_argument("--ridge", type=float, default=defaults.LAMBDA_LANDMARK,
                    help=f"landmark fit regularizer (default {defaults.LAMBDA_LANDMARK})")
     p.set_defaults(func=_cmd_eval)

@@ -21,7 +21,7 @@ from .image_io import names_file, quantize, read_pgm, write_pgm
 from .model import (GeometryCoefficients, MorphableModel,
                     sample_geometry_coefficients, sample_texture_coefficients,
                     synthesize_geometry, synthesize_texture)
-from .model_io import model_digest
+from .model_io import check_model, model_digest
 from .render import (LightingParams, PoseParams, compute_vertex_normals,
                      face_width_of, luminance, nominal_focal, phong_shade,
                      rasterize, render_shading_image, sample_lighting,
@@ -255,7 +255,9 @@ def load_manifest(path) -> DatasetManifest:
         if ln.strip():
             sid, face_f, shade_f, coeff_f = ln.split()
             entries.append((int(sid), face_f, shade_f, coeff_f))
-    if entries and count != len(entries):
+    if not entries:
+        raise ValueError("manifest lists no samples")
+    if count != len(entries):
         raise ValueError(f"count={count} but {len(entries)} entries")
     manifest = DatasetManifest(header["model_hash"], count, width, height,
                                master_seed, entries)
@@ -264,14 +266,14 @@ def load_manifest(path) -> DatasetManifest:
         for name in files:
             p = os.path.join(base, name)
             if not os.path.exists(p):
-                raise FileNotFoundError(f"manifest references missing file {p}")
+                raise ValueError(f"references missing file {p}")
     return manifest
 
 
 def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:
-    manifest = load_manifest(os.path.join(dataset_dir, "manifest.txt"))
-    if manifest.model_hash != model_digest(model):
-        raise ValueError(f"{dataset_dir}: dataset was generated with a different model")
+    path = os.path.join(dataset_dir, "manifest.txt")
+    manifest = load_manifest(path)
+    check_model(path, manifest.model_hash, model)
     samples = []
     for sid, face_f, shade_f, coeff_f in manifest.entries:
         face = read_pgm(os.path.join(dataset_dir, face_f))

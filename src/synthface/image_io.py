@@ -19,6 +19,14 @@ def names_file(reader):
     return read
 
 
+@names_file
+def check_size(path, size: tuple, expected: tuple, source) -> None:
+    """Reject the file at `path` if its (width, height) is not `source`'s."""
+    if size != expected:
+        raise ValueError(f"image size {size[0]}x{size[1]} differs from "
+                         f"{expected[0]}x{expected[1]} of {source}")
+
+
 def quantize(img: np.ndarray) -> np.ndarray:
     """Snap float image values in [0,1] to the 8-bit grid (k/255)."""
     return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0

@@ -100,3 +100,10 @@ def model_digest(model: MorphableModel) -> str:
     if "digest" not in model._cache:
         model._cache["digest"] = hashlib.sha256(model_to_bytes(model)).hexdigest()
     return model._cache["digest"]
+
+
+@names_file
+def check_model(path, digest: str, model: MorphableModel) -> None:
+    """Reject the file at `path` if the model digest it records is not `model`'s."""
+    if digest != model_digest(model):
+        raise ValueError("made with a different model")

@@ -6,7 +6,8 @@ coverage, and asks the predictor for updated coefficients.  It returns the
 sequence of coefficient estimates with the mesh and shading image of the
 last one.  The desk-scale predictor is a ridge-trained linear map on
 pooled-pixel features; anything with the same call signature plugs in
-unchanged.
+unchanged.  Its PRD2 file records the image size, pooling factor and model
+it was trained for; the iteration count stays a run-time choice.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import defaults
 from .image_io import names_file
+from .model_io import model_digest
 from .model import (GeometryCoefficients, Mesh, MorphableModel,
                     synthesize_geometry)
 from .render import PoseParams, render_shading_image
@@ -34,6 +36,8 @@ class IEFConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if min(self.width, self.height, self.feature_downsample) < 1:
+            raise ValueError("image dims and feature_downsample must be >= 1")
         if self.width % self.feature_downsample or self.height % self.feature_downsample:
             raise ValueError("image dims must be divisible by feature_downsample")
 
@@ -75,10 +79,15 @@ def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
 
 @dataclass
 class LinearPredictor:
-    """pred = weight @ [features; alpha] + bias."""
+    """pred = weight @ [features; alpha] + bias, for `width` x `height` images
+    pooled by `feature_downsample` and the model whose digest it records."""
 
     weight: np.ndarray    # (n_coeffs, feature_dim + n_coeffs)
     bias: np.ndarray      # (n_coeffs,)
+    width: int
+    height: int
+    feature_downsample: int
+    model_digest: str     # sha256 hex of the MFM1 model bytes
 
     def __call__(self, features: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         x = np.concatenate([features, alpha])
@@ -91,10 +100,6 @@ class LinearPredictor:
     @property
     def n_coeffs(self) -> int:
         return self.weight.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weight.shape[1] - self.weight.shape[0]
 
 
 def train_linear_predictor(samples,
@@ -127,7 +132,9 @@ def train_linear_predictor(samples,
     xtx = x.T @ x
     xty = x.T @ y
     params = np.linalg.solve(xtx + ridge_lambda * np.eye(n_in + 1), xty).T
-    return LinearPredictor(weight=params[:, :n_in], bias=params[:, n_in])
+    return LinearPredictor(params[:, :n_in], params[:, n_in], config.width,
+                           config.height, config.feature_downsample,
+                           model_digest(model))
 
 
 def ief_reconstruct(face_image: np.ndarray,
@@ -169,15 +176,18 @@ def ief_reconstruct(face_image: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# PRD1 predictor file format
+# PRD2 predictor file: magic, u32 width, height, feature_downsample, n_coeffs,
+# the 32-byte model digest, then float64 weight (row-major) and bias
 
-PREDICTOR_MAGIC = b"PRD1"
+PREDICTOR_MAGIC = b"PRD2"
+HEADER = struct.Struct("<4s4I32s")
 
 
 def save_predictor(path, predictor: LinearPredictor) -> None:
     with open(path, "wb") as f:
-        f.write(PREDICTOR_MAGIC)
-        f.write(struct.pack("<II", predictor.feature_dim, predictor.n_coeffs))
+        f.write(HEADER.pack(PREDICTOR_MAGIC, predictor.width, predictor.height,
+                            predictor.feature_downsample, predictor.n_coeffs,
+                            bytes.fromhex(predictor.model_digest)))
         f.write(predictor.weight.astype("<f8").tobytes(order="C"))
         f.write(predictor.bias.astype("<f8").tobytes())
 
@@ -188,16 +198,14 @@ def load_predictor(path) -> LinearPredictor:
         data = f.read()
     if data[:4] != PREDICTOR_MAGIC:
         raise ValueError(f"bad predictor magic {data[:4]!r}")
-    if len(data) < 12:
-        raise ValueError(f"{len(data)} bytes, shorter than the 12-byte header")
-    feature_dim, n_coeffs = struct.unpack_from("<II", data, 4)
-    n_in = feature_dim + n_coeffs
-    expected = 12 + 8 * (n_coeffs * n_in + n_coeffs)
+    _, width, height, k, n_coeffs, digest = HEADER.unpack_from(data)
+    n_in = IEFConfig(1, width, height, k).feature_dim + n_coeffs
+    expected = HEADER.size + 8 * (n_coeffs * n_in + n_coeffs)
     if len(data) != expected:
         raise ValueError(f"{len(data)} bytes, expected {expected} for "
-                         f"feature_dim={feature_dim} n_coeffs={n_coeffs}")
+                         f"{width}x{height} pool {k} n_coeffs={n_coeffs}")
     weight = np.frombuffer(data, dtype="<f8", count=n_coeffs * n_in,
-                           offset=12).copy().reshape(n_coeffs, n_in)
+                           offset=HEADER.size).copy().reshape(n_coeffs, n_in)
     bias = np.frombuffer(data, dtype="<f8", count=n_coeffs,
-                         offset=12 + 8 * n_coeffs * n_in).copy()
-    return LinearPredictor(weight, bias)
+                         offset=HEADER.size + 8 * n_coeffs * n_in).copy()
+    return LinearPredictor(weight, bias, width, height, k, digest.hex())

@@ -323,8 +323,7 @@ def test_criterion_9_walkthrough(tmp_path):
          "--gt-coeffs", "eval_inputs/gt.bin",
          "--ief-coeffs", "recon/coefficients.bin",
          "--landmarks-file", "eval_inputs/landmarks.txt",
-         "--pose-file", "eval_inputs/pose.txt", "--out", "report",
-         "--width", 64, "--height", 64),
+         "--pose-file", "eval_inputs/pose.txt", "--out", "report"),
     ]
     for step in steps:
         proc = run(*step)

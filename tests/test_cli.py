@@ -3,6 +3,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 
 from synthface.cli import main
 from synthface.datagen import load_coeff_vector, save_coeff_vector
-from synthface.evaluate import project_landmarks, save_landmarks
+from synthface.evaluate import (landmark_fit, load_landmarks,
+                                optimal_similarity_align, pointwise_error,
+                                project_landmarks, save_landmarks)
 from synthface.image_io import write_pgm
 from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import GeometryCoefficients, synthesize_geometry
@@ -70,7 +74,7 @@ def pipeline(tmp_path_factory, model_file):
     model = load_model(model_file)
     s = generate_sample(rng_for_sample(99, 0), model, 64, 64)
     write_pgm(root / "face.pgm", s.face_image)
-    save_pose(root / "pose.txt", s.pose)
+    save_pose(root / "pose.txt", s.pose, 64, 64)
     save_coeff_vector(root / "gt.bin", s.alpha_gt.vector)
     save_landmarks(root / "lms.txt", project_landmarks(
         model, s.alpha_gt, s.pose, 64, 64, model.landmark_indices))
@@ -140,24 +144,37 @@ def test_train_empty_dataset(tmp_path, model_file, capsys):
     rc = run("train", "--model", model_file, "--dataset", data,
              "--out", tmp_path / "p.prd")
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {data}: dataset has no samples\n"
+    assert capsys.readouterr().err == \
+        f"error: {manifest}: manifest lists no samples\n"
+
+
+def test_train_missing_sample_file_names_manifest(tmp_path, model_file, pipeline,
+                                                  capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    os.remove(data / "sample_000007_face.pgm")
+    rc = run("train", "--model", model_file, "--dataset", data,
+             "--out", tmp_path / "p.prd")
+    assert rc == 1
+    assert_one_line_error(capsys, data / "manifest.txt")
 
 
 def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys):
-    wrong = LinearPredictor(np.zeros((12, 30)), np.zeros(12))
+    # 12 coefficients and another model's digest; the model file has 15
+    wrong = LinearPredictor(np.zeros((12, 129 + 12)), np.zeros(12), 64, 64, 8,
+                            "0" * 64)
     ppath = tmp_path / "wrong.prd"
     save_predictor(ppath, wrong)
     img = tmp_path / "img.pgm"
     write_pgm(img, np.zeros((64, 64)))
     pose_path = tmp_path / "pose.txt"
     from synthface.render import PoseParams
-    save_pose(pose_path, PoseParams.identity(20.0))
+    save_pose(pose_path, PoseParams.identity(20.0), 64, 64)
     rc = run("reconstruct", "--model", model_file, "--predictor", ppath,
              "--image", img, "--pose-file", pose_path,
              "--out", tmp_path / "out")
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "expected" in err
+    assert_one_line_error(capsys, ppath)
 
 
 def test_defaults_dump_is_json(capsys):
@@ -176,7 +193,8 @@ def test_full_pipeline_smoke(tmp_path, model_file, pipeline):
     # render under the input pose
     mesh = synthesize_geometry(model, GeometryCoefficients.from_vector(coeffs,
                                                                        model.n_id))
-    raster = render_shading_image(mesh, load_pose(pipeline / "pose.txt"), 64, 64)
+    pose, (width, height) = load_pose(pipeline / "pose.txt")
+    raster = render_shading_image(mesh, pose, width, height)
     assert raster.mask.any()
     save_off(tmp_path / "mesh.off", mesh)
     write_pgm(tmp_path / "shading.pgm", raster.image)
@@ -187,12 +205,46 @@ def test_full_pipeline_smoke(tmp_path, model_file, pipeline):
     assert run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
                "--ief-coeffs", out / "coefficients.bin",
                "--landmarks-file", pipeline / "lms.txt",
-               "--pose-file", pipeline / "pose.txt",
-               "--out", ev, "--width", 64, "--height", 64) == 0
+               "--pose-file", pipeline / "pose.txt", "--out", ev) == 0
     assert (ev / "heatmap_ief.ppm").exists()
     assert (ev / "heatmap_landmark.ppm").exists()
     table = (ev / "comparison.txt").read_text()
     assert "ief" in table and "landmark" in table
+
+
+def test_reconstruct_rejects_another_model(tmp_path, pipeline, capsys):
+    other = tmp_path / "other.mfm"
+    assert run("model-gen", "--seed", 2, "--n-id", 10, "--n-exp", 5,
+               "--n-tex", 6, "--grid", 32, "--out", other) == 0
+    capsys.readouterr()
+    assert reconstruct(other, pipeline, tmp_path / "out") == 1
+    assert_one_line_error(capsys, pipeline / "p.prd")
+
+
+def test_reconstruct_reads_pooling_from_predictor(tmp_path, model_file, pipeline):
+    assert run("train", "--model", model_file, "--dataset", pipeline / "data",
+               "--out", tmp_path / "p.prd", "--ridge", 1.0,
+               "--downsample", 4) == 0
+    out = tmp_path / "recon"
+    assert reconstruct(model_file, pipeline, out, tmp_path / "p.prd") == 0
+    assert load_coeff_vector(out / "coefficients.bin").shape == (15,)
+
+
+def test_eval_reads_image_size_from_pose(tmp_path, model_file, pipeline):
+    ev = tmp_path / "ev"
+    assert eval_landmarks(model_file, pipeline, ev, pipeline / "lms.txt") == 0
+    # the landmark row is the baseline fitted at the face's own 64x64 size
+    model = load_model(model_file)
+    pose, _ = load_pose(pipeline / "pose.txt")
+    fit = landmark_fit(load_landmarks(pipeline / "lms.txt", model.n_vertices),
+                       pose, model, 64, 64)
+    gt_mesh = synthesize_geometry(model, GeometryCoefficients.from_vector(
+        load_coeff_vector(pipeline / "gt.bin"), model.n_id))
+    _, aligned = optimal_similarity_align(synthesize_geometry(model, fit), gt_mesh)
+    report = pointwise_error(aligned, gt_mesh)
+    row = (ev / "comparison.txt").read_text().splitlines()[2].split()
+    assert row == ["landmark"] + [f"{v:.6g}" for v in
+                                  (report.mean, report.median, report.rms)]
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -222,9 +274,17 @@ def _text_lines(edit):
         lambda ls: ls[:1] + ["R " + " ".join(str(2 * float(v)) for v in ls[1].split()[1:])]
         + ls[2:])),
     ("pose.txt", _text_lines(lambda ls: ls[:1] + [" ".join(ls[1].split()[:3])] + ls[2:])),
-    ("pose.txt", _text_lines(lambda ls: ls[:-1] + [ls[-1] + " 1.0"])),
+    ("pose.txt", _text_lines(lambda ls: ls[:-2] + [ls[-2] + " 1.0"] + ls[-1:])),
+    ("pose.txt", _text_lines(lambda ls: ls[:-1])),
+    ("pose.txt", _text_lines(lambda ls: ls + ls[-1:])),
+    ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 64.0 64"])),
+    # a valid image or pose made for another size than the 64x64 predictor's
+    ("face.pgm", lambda data: b"P5\n128 128\n255\n" + bytes(128 * 128)),
+    ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 200 200"])),
 ], ids=["pgm_cut_1000", "pgm_trailing", "pose_f_abc", "pose_f_two_values",
-        "pose_R_scaled", "pose_R_two_values", "pose_t_four_values"])
+        "pose_R_scaled", "pose_R_two_values", "pose_t_four_values",
+        "pose_no_size", "pose_two_sizes", "pose_size_float",
+        "pgm_128x128", "pose_size_200"])
 def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
                                               capsys, name, corrupt):
     for f in ("p.prd", "face.pgm", "pose.txt"):
@@ -289,8 +349,7 @@ def test_eval_corrupt_coeffs_names_file(tmp_path, model_file, pipeline, capsys,
     rc = run("eval", "--model", model_file, "--gt-coeffs", bad,
              "--ief-coeffs", pipeline / "gt.bin",
              "--landmarks-file", pipeline / "lms.txt",
-             "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev",
-             "--width", 64, "--height", 64)
+             "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev")
     assert rc == 1
     assert_one_line_error(capsys, bad)
 
@@ -298,8 +357,7 @@ def test_eval_corrupt_coeffs_names_file(tmp_path, model_file, pipeline, capsys,
 def eval_landmarks(model_file, pipeline, out, landmarks):
     return run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
                "--ief-coeffs", pipeline / "gt.bin", "--landmarks-file", landmarks,
-               "--pose-file", pipeline / "pose.txt", "--out", out,
-               "--width", 64, "--height", 64)
+               "--pose-file", pipeline / "pose.txt", "--out", out)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -314,10 +372,41 @@ def test_eval_corrupt_landmarks_names_file(tmp_path, model_file, pipeline,
     assert_one_line_error(capsys, bad)
 
 
+def make_eval_inputs(model, out, *args):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(repo, "src")] + ([inherited] if inherited else [])))
+    return subprocess.run(
+        [sys.executable, os.path.join(repo, "demos", "make_eval_inputs.py"),
+         "--model", str(model), "--out", str(out), *map(str, args)],
+        env=env, capture_output=True, text=True)
+
+
+def test_make_eval_inputs_writes_pose_size(tmp_path, model_file):
+    proc = make_eval_inputs(model_file, tmp_path, "--width", 48, "--height", 32)
+    assert proc.returncode == 0, proc.stderr
+    assert load_pose(tmp_path / "pose.txt")[1] == (48, 32)
+
+
+def test_make_eval_inputs_corrupt_model_names_file(tmp_path, model_file):
+    bad = tmp_path / "corrupt.mfm"
+    bad.write_bytes(model_file.read_bytes()[:-4] + struct.pack("<I", 5000))
+    proc = make_eval_inputs(bad, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {bad}: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_train_has_no_iterations_flag(capsys):
-    with pytest.raises(SystemExit):
-        run("train", "--help")
-    assert "--iterations" not in capsys.readouterr().out
+    """Values a file records are not restated on the command line."""
+    for sub, flags in (("train", ["--iterations"]),
+                       ("reconstruct", ["--downsample"]),
+                       ("eval", ["--width", "--height"])):
+        with pytest.raises(SystemExit):
+            run(sub, "--help")
+        out = capsys.readouterr().out
+        assert not [flag for flag in flags if flag in out], sub
 
 
 def test_help_lists_flags(capsys):

@@ -129,7 +129,7 @@ def test_manifest_missing_file_detected(tmp_path, small_model):
     d = tmp_path / "ds"
     generate_dataset(8, small_model, 2, d, width=64, height=64)
     os.remove(d / "sample_000001_face.pgm")
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ValueError, match="references missing file"):
         load_manifest(d / "manifest.txt")
 
 

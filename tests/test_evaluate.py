@@ -234,11 +234,19 @@ def test_off_roundtrip(tmp_path, fit_model):
 def test_pose_file_roundtrip(tmp_path, rng):
     pose = sample_pose(rng, 40.0, 3.0)
     path = tmp_path / "pose.txt"
-    save_pose(path, pose)
-    loaded = load_pose(path)
+    save_pose(path, pose, 48, 32)
+    loaded, size = load_pose(path)
+    assert size == (48, 32)
     assert loaded.f == pose.f
     assert np.array_equal(loaded.rotation, pose.rotation)
     assert np.array_equal(loaded.translation, pose.translation)
+
+
+def test_pose_file_size_must_be_positive(tmp_path, rng):
+    path = tmp_path / "pose.txt"
+    save_pose(path, sample_pose(rng, 40.0, 3.0), 0, 64)
+    with pytest.raises(ValueError, match="image size 0x64 is not positive"):
+        load_pose(path)
 
 
 def test_pose_file_rejects_garbage(tmp_path):

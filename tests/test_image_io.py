@@ -7,7 +7,7 @@ from synthface.datagen import (generate_sample, load_coeff_vector,
                                save_sample_coeffs)
 from synthface.image_io import quantize, read_pgm, write_pgm, write_ppm
 from synthface.model import build_procedural_model
-from synthface.model_io import LANDMARK_MAGIC, load_model, save_model
+from synthface.model_io import LANDMARK_MAGIC, load_model, model_digest, save_model
 from synthface.reconstruct import LinearPredictor, load_predictor, save_predictor
 
 
@@ -73,21 +73,22 @@ def valid_files(tmp_path_factory):
     model = build_procedural_model(1, 3, 2, 2, 9)
     sample = generate_sample(np.random.default_rng(3), model, 16, 16)
     save_model(model, root / "m.mfm")
-    save_predictor(root / "p.prd", LinearPredictor(np.ones((2, 5)), np.ones(2)))
+    save_predictor(root / "p.prd", LinearPredictor(np.ones((2, 5)), np.ones(2),
+                                                   4, 4, 4, model_digest(model)))
     save_coeff_vector(root / "v.bin", sample.alpha_gt.vector)
     save_sample_coeffs(root / "s.bin", sample)
     write_pgm(root / "f.pgm", sample.face_image)
     # cutting off exactly the optional landmark trailer leaves a valid model
     trailer = (root / "m.mfm").read_bytes().rfind(LANDMARK_MAGIC)
     return {"mfm1": (root / "m.mfm", load_model, {trailer}),
-            "prd1": (root / "p.prd", load_predictor, set()),
+            "prd2": (root / "p.prd", load_predictor, set()),
             "coeff_vector": (root / "v.bin", load_coeff_vector, set()),
             "sample_coeffs": (root / "s.bin",
                               lambda path: load_sample_coeffs(path, model.n_id), set()),
             "pgm": (root / "f.pgm", read_pgm, set())}
 
 
-@pytest.mark.parametrize("name", ["mfm1", "prd1", "coeff_vector",
+@pytest.mark.parametrize("name", ["mfm1", "prd2", "coeff_vector",
                                   "sample_coeffs", "pgm"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())

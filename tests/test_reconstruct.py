@@ -4,6 +4,7 @@ import pytest
 from synthface.datagen import generate_sample, rng_for_sample
 from synthface.model import (GeometryCoefficients, geometry_loss,
                              synthesize_geometry)
+from synthface.model_io import model_digest
 from synthface.reconstruct import (IEFConfig, LinearPredictor,
                                    extract_features, ief_reconstruct,
                                    load_predictor, save_predictor,
@@ -30,6 +31,8 @@ def test_config_validation():
         IEFConfig(iterations=0)
     with pytest.raises(ValueError):
         IEFConfig(width=100, height=100, feature_downsample=8)
+    with pytest.raises(ValueError):
+        IEFConfig(feature_downsample=0)
     assert IEFConfig(width=200, height=200, feature_downsample=8).feature_dim \
         == 2 * 25 * 25 + 1
 
@@ -129,7 +132,8 @@ def test_ideal_predictor_converges_in_one_step(fit_model, corpus, cfg64):
 def test_zero_predictor_stays_at_mean(fit_model, corpus, cfg64):
     s = corpus[0]
     zero = LinearPredictor(np.zeros((40, cfg64.feature_dim + 40)),
-                           np.zeros(40))
+                           np.zeros(40), cfg64.width, cfg64.height,
+                           cfg64.feature_downsample, model_digest(fit_model))
     res = ief_reconstruct(s.face_image, s.pose, zero, fit_model, cfg64)
     for it in res.iterates:
         assert np.array_equal(it, np.zeros(40))
@@ -163,16 +167,26 @@ def test_wrong_predictor_output_rejected(fit_model, corpus, cfg64):
 # ---------------------------------------------------------------------------
 # Predictor file format
 
-def test_predictor_roundtrip_bit_exact(tmp_path, rng):
-    pred = LinearPredictor(rng.standard_normal((12, 40)),
-                           rng.standard_normal(12))
+def test_predictor_roundtrip_bit_exact(tmp_path, rng, small_model):
+    # 16x8 pooled by 4: 2 * 4 * 2 + 1 = 17 features
+    pred = LinearPredictor(rng.standard_normal((12, 17 + 12)),
+                           rng.standard_normal(12), 16, 8, 4,
+                           model_digest(small_model))
     path = tmp_path / "p.prd"
     save_predictor(path, pred)
     loaded = load_predictor(path)
     assert np.array_equal(loaded.weight, pred.weight)
     assert np.array_equal(loaded.bias, pred.bias)
-    assert loaded.feature_dim == 28
+    assert (loaded.width, loaded.height, loaded.feature_downsample) == (16, 8, 4)
+    assert loaded.model_digest == model_digest(small_model)
     assert loaded.n_coeffs == 12
+
+
+def test_trained_predictor_records_config_and_model(fit_model, corpus, cfg64):
+    pred = train_linear_predictor(corpus, fit_model, cfg64)
+    assert (pred.width, pred.height, pred.feature_downsample) == (
+        cfg64.width, cfg64.height, cfg64.feature_downsample)
+    assert pred.model_digest == model_digest(fit_model)
 
 
 def test_predictor_bad_magic(tmp_path):
