@@ -32,21 +32,18 @@ pose = PoseParams.identity(nominal_focal(model.mean_mesh, SIZE))
 
 # 1. the mean face as a frontal-light shading image
 mean_raster = render_shading_image(model.mean_mesh, pose, SIZE, SIZE)
-write_pgm(os.path.join(OUT, "mean_shading.pgm"),
-          np.where(mean_raster.mask, mean_raster.image, 0.0))
+write_pgm(os.path.join(OUT, "mean_shading.pgm"), mean_raster.image)
 
 # 2. a random identity/expression draw
 rng = np.random.default_rng(42)
 coeffs = sample_geometry_coefficients(rng, model)
 mesh = synthesize_geometry(model, coeffs)
 raster = render_shading_image(mesh, pose, SIZE, SIZE)
-write_pgm(os.path.join(OUT, "random_shading.pgm"),
-          np.where(raster.mask, raster.image, 0.0))
+write_pgm(os.path.join(OUT, "random_shading.pgm"), raster.image)
 
 # 3. full Phong color render of the same face with a random texture
-tex = synthesize_texture(model, TextureCoefficients(
-    0.5 * rng.standard_normal(model.n_tex)))
-albedo = np.clip(tex.colors, 0.0, 1.0)
+albedo = np.clip(synthesize_texture(model, TextureCoefficients(
+    0.5 * rng.standard_normal(model.n_tex))), 0.0, 1.0)
 lighting = LightingParams(0.5, 0.7, 0.05, 10.0,
                           np.array([0.3, 0.2, 1.0]) / np.linalg.norm([0.3, 0.2, 1.0]))
 colors = phong_shade(albedo, compute_vertex_normals(mesh), lighting)

@@ -25,6 +25,5 @@ err = np.abs(coeffs.alpha_tex - beta).max()
 print(f"max coefficient recovery error: {err:.2e}")
 
 occluded = ~visibility
-color_err = np.abs(combined.colors[occluded]
-                   - observed.colors[occluded]).max()
+color_err = np.abs(combined[occluded] - observed[occluded]).max()
 print(f"max completed-color error on occluded vertices: {color_err:.2e}")

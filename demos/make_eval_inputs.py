@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 
+from synthface import defaults
 from synthface.datagen import generate_sample, rng_for_sample, save_coeff_vector
 from synthface.evaluate import project_landmarks, save_landmarks
 from synthface.image_io import write_pgm
@@ -30,8 +31,8 @@ def main():
     parser.add_argument("--model", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--seed", type=int, default=123)
-    parser.add_argument("--width", type=int, default=200)
-    parser.add_argument("--height", type=int, default=200)
+    parser.add_argument("--width", type=int, default=defaults.IMAGE_WIDTH)
+    parser.add_argument("--height", type=int, default=defaults.IMAGE_HEIGHT)
     args = parser.parse_args()
 
     model = load_model(args.model)

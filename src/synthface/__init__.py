@@ -1,7 +1,7 @@
 """Synthetic face image generation, iterative error-feedback reconstruction
 and geometric evaluation on a linear morphable model."""
 
-from .model import (GeometryCoefficients, MorphableModel, Mesh, Texture,
+from .model import (GeometryCoefficients, MorphableModel, Mesh,
                     TextureCoefficients, build_procedural_model,
                     geometry_loss, geometry_loss_grad, project_texture,
                     sample_geometry_coefficients, sample_texture_coefficients,

@@ -24,7 +24,7 @@ from .image_io import check_size, read_pgm, write_pgm, write_ppm
 from .mesh_io import load_pose, save_off
 from .model import (GeometryCoefficients, build_procedural_model,
                     synthesize_geometry)
-from .model_io import check_model, load_model, save_model
+from .model_io import check_coeffs, check_model, load_model, save_model
 from .reconstruct import (IEFConfig, ief_reconstruct, load_predictor,
                           save_predictor, train_linear_predictor)
 
@@ -87,10 +87,12 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     pose, (width, height) = load_pose(args.pose_file)
     landmarks = load_landmarks(args.landmarks_file, model.n_vertices)
-    gt = GeometryCoefficients.from_vector(load_coeff_vector(args.gt_coeffs),
-                                          model.n_id)
-    ief = GeometryCoefficients.from_vector(load_coeff_vector(args.ief_coeffs),
-                                           model.n_id)
+    coeffs = []
+    for path in (args.gt_coeffs, args.ief_coeffs):
+        vec = load_coeff_vector(path)
+        check_coeffs(path, vec, model)
+        coeffs.append(GeometryCoefficients.from_vector(vec, model.n_id))
+    gt, ief = coeffs
     baseline = landmark_fit(landmarks, pose, model, width, height,
                             lambda_reg=args.ridge)
 

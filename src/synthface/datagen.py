@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .image_io import names_file, quantize, read_pgm, write_pgm
+from .image_io import check_size, names_file, quantize, read_pgm, write_pgm
 from .model import (GeometryCoefficients, MorphableModel,
                     sample_geometry_coefficients, sample_texture_coefficients,
                     synthesize_geometry, synthesize_texture)
-from .model_io import check_model, model_digest
+from .model_io import check_coeffs, check_model, model_digest
 from .render import (LightingParams, PoseParams, compute_vertex_normals,
                      face_width_of, luminance, nominal_focal, phong_shade,
                      rasterize, render_shading_image, sample_lighting,
@@ -79,7 +79,7 @@ def generate_sample(rng: np.random.Generator,
     fw = face_width_of(mean_mesh)
     # the Phong-shaded face does not depend on the pose: only rasterize retries
     mesh_gt = synthesize_geometry(model, alpha_gt)
-    albedo = np.clip(synthesize_texture(model, tcoeffs).colors, 0.0, 1.0)
+    albedo = np.clip(synthesize_texture(model, tcoeffs), 0.0, 1.0)
     face_colors = phong_shade(albedo, compute_vertex_normals(mesh_gt), lighting)
     mesh_t = synthesize_geometry(model, alpha_t)
 
@@ -208,6 +208,8 @@ def generate_dataset(master_seed: int,
     """Write `count` samples plus a manifest; bytes independent of `workers`."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if min(width, height) < 1:
+        raise ValueError(f"image size {width}x{height} must be at least 1x1")
     os.makedirs(out_dir, exist_ok=True)
 
     indices = list(range(count))
@@ -275,11 +277,14 @@ def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:
     manifest = load_manifest(path)
     check_model(path, manifest.model_hash, model)
     samples = []
-    for sid, face_f, shade_f, coeff_f in manifest.entries:
-        face = read_pgm(os.path.join(dataset_dir, face_f))
-        shading = read_pgm(os.path.join(dataset_dir, shade_f))
-        at, agt, pose, lighting = load_sample_coeffs(
-            os.path.join(dataset_dir, coeff_f), model.n_id)
+    for sid, *files in manifest.entries:
+        face_f, shade_f, coeff_f = (os.path.join(dataset_dir, f) for f in files)
+        face, shading = read_pgm(face_f), read_pgm(shade_f)
+        for f, image in ((face_f, face), (shade_f, shading)):
+            check_size(f, image.shape[::-1], (manifest.width, manifest.height), path)
+        at, agt, pose, lighting = load_sample_coeffs(coeff_f, model.n_id)
+        for alpha in (at, agt):
+            check_coeffs(coeff_f, alpha.vector, model)
         samples.append(TrainingSample(face, shading, at, agt, pose,
                                       lighting, sid))
     return samples

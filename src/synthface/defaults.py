@@ -2,12 +2,13 @@
 
 All tunable constants live here so that the CLI, the library defaults and the
 conformance checks agree on a single source of truth.  `default_config()`
-returns a plain dict suitable for JSON serialization.
+dumps every upper-case name defined here, lower-cased and in order, as a dict.
 """
 
 # Model dimensions
 N_ID = 200
 N_EXP = 84
+N_COEFFS_TOTAL = N_ID + N_EXP
 N_TEX = 200
 GRID_RESOLUTION = 48
 
@@ -20,14 +21,10 @@ INPUT_CHANNELS = 2  # masked face image + shading image
 IEF_ITERATIONS = 3
 FEATURE_DOWNSAMPLE = 8
 
-# Phong reflectance
+# Phong reflectance: (ambient, diffuse, specular) means and sigmas
 PHONG_SHININESS = 10.0
-PHONG_MEAN_AMBIENT = 0.5
-PHONG_MEAN_DIFFUSE = 0.7
-PHONG_MEAN_SPECULAR = 0.05
-PHONG_SIGMA_AMBIENT = 0.1
-PHONG_SIGMA_DIFFUSE = 0.1
-PHONG_SIGMA_SPECULAR = 0.02
+PHONG_MEANS = (0.5, 0.7, 0.05)
+PHONG_SIGMAS = (0.1, 0.1, 0.02)
 
 # Pose sampling
 POSE_ROTATION_SIGMA_DEG = 15.0
@@ -43,25 +40,5 @@ RIDGE_LAMBDA = 1e-1
 
 def default_config() -> dict:
     """Machine-readable dump of every default constant."""
-    return {
-        "n_id": N_ID,
-        "n_exp": N_EXP,
-        "n_coeffs_total": N_ID + N_EXP,
-        "n_tex": N_TEX,
-        "grid_resolution": GRID_RESOLUTION,
-        "image_width": IMAGE_WIDTH,
-        "image_height": IMAGE_HEIGHT,
-        "input_channels": INPUT_CHANNELS,
-        "ief_iterations": IEF_ITERATIONS,
-        "feature_downsample": FEATURE_DOWNSAMPLE,
-        "phong_shininess": PHONG_SHININESS,
-        "phong_means": [PHONG_MEAN_AMBIENT, PHONG_MEAN_DIFFUSE, PHONG_MEAN_SPECULAR],
-        "phong_sigmas": [PHONG_SIGMA_AMBIENT, PHONG_SIGMA_DIFFUSE, PHONG_SIGMA_SPECULAR],
-        "pose_rotation_sigma_deg": POSE_ROTATION_SIGMA_DEG,
-        "pose_translation_frac": POSE_TRANSLATION_FRAC,
-        "pose_scale_frac": POSE_SCALE_FRAC,
-        "pose_fill_frac": POSE_FILL_FRAC,
-        "lambda_texture": LAMBDA_TEXTURE,
-        "lambda_landmark": LAMBDA_LANDMARK,
-        "ridge_lambda": RIDGE_LAMBDA,
-    }
+    return {name.lower(): value for name, value in globals().items()
+            if name.isupper()}

@@ -38,10 +38,7 @@ def _to_u8(img: np.ndarray) -> np.ndarray:
 
 def write_pgm(path, img: np.ndarray) -> None:
     """Single-channel image (H, W) with float values in [0,1], or bool mask."""
-    if img.dtype == bool:
-        data = np.where(img, 255, 0).astype(np.uint8)
-    else:
-        data = _to_u8(img)
+    data = _to_u8(img)
     h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())

@@ -1,11 +1,12 @@
 """Linear morphable face model: synthesis, sampling, losses and texture projection.
 
 The model represents geometry as ``mu_S + A_id @ alpha_id + A_exp @ alpha_exp``
-and per-vertex color as ``mu_T + A_T @ alpha_T``.  A procedural builder stands
-in for a scan-derived basis: the mean is a smooth face-like heightfield and the
-basis columns are orthonormalized smooth random displacement fields, which
-keeps every algebraic property (linearity, orthonormal Gram matrix) that the
-rest of the pipeline relies on.
+and per-vertex color as ``mu_T + A_T @ alpha_T``, passed around as a plain
+(N, 3) array.  A procedural builder stands in for a scan-derived basis: the
+mean is a smooth face-like heightfield and the basis columns are
+orthonormalized smooth random displacement fields, which keeps every
+algebraic property (linearity, orthonormal Gram matrix) that the rest of the
+pipeline relies on.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ class Mesh:
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=np.float64))
         object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class Texture:
-    colors: np.ndarray         # (N, 3), may exceed [0,1] pre-clamp
 
 
 @dataclass(frozen=True)
@@ -324,12 +320,11 @@ def synthesize_geometry(model: MorphableModel, coeffs: GeometryCoefficients) -> 
     return Mesh(flat.reshape(-1, 3), model.triangles)
 
 
-def synthesize_texture(model: MorphableModel, tcoeffs: TextureCoefficients) -> Texture:
+def synthesize_texture(model: MorphableModel, tcoeffs: TextureCoefficients) -> np.ndarray:
     if tcoeffs.alpha_tex.shape[0] != model.n_tex:
         raise ValueError(
             f"texture coefficient length {tcoeffs.alpha_tex.shape[0]} != {model.n_tex}")
-    flat = model.mu_tex + model.basis_tex @ tcoeffs.alpha_tex
-    return Texture(flat.reshape(-1, 3))
+    return (model.mu_tex + model.basis_tex @ tcoeffs.alpha_tex).reshape(-1, 3)
 
 
 def geometry_loss(model: MorphableModel,
@@ -366,13 +361,13 @@ def sample_texture_coefficients(rng: np.random.Generator,
 
 
 def project_texture(model: MorphableModel,
-                    observed: Texture,
+                    observed: np.ndarray,
                     visibility: np.ndarray,
                     lambda_tex: float = defaults.LAMBDA_TEXTURE):
-    """Least-squares texture coefficients from the visible vertices.
+    """Least-squares texture coefficients from the visible vertices' colors.
 
-    Returns ``(TextureCoefficients, Texture)`` where the texture keeps the
-    observed colors on visible vertices and takes the model reconstruction on
+    Returns ``(TextureCoefficients, colors)``: the (N, 3) colors keep the
+    observed ones on visible vertices and take the model reconstruction on
     occluded ones.
     """
     visibility = np.asarray(visibility, dtype=bool)
@@ -382,11 +377,10 @@ def project_texture(model: MorphableModel,
         raise ValueError("visibility mask has no visible vertices")
     rows = np.repeat(visibility, 3)
     a = model.basis_tex[rows]
-    b = observed.colors.reshape(-1)[rows] - model.mu_tex[rows]
+    b = observed.reshape(-1)[rows] - model.mu_tex[rows]
     ata = a.T @ a
     ata[np.diag_indices_from(ata)] += lambda_tex
     alpha = np.linalg.solve(ata, a.T @ b)
 
     recon = (model.mu_tex + model.basis_tex @ alpha).reshape(-1, 3)
-    combined = np.where(visibility[:, None], observed.colors, recon)
-    return TextureCoefficients(alpha), Texture(combined)
+    return TextureCoefficients(alpha), np.where(visibility[:, None], observed, recon)

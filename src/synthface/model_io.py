@@ -107,3 +107,11 @@ def check_model(path, digest: str, model: MorphableModel) -> None:
     """Reject the file at `path` if the model digest it records is not `model`'s."""
     if digest != model_digest(model):
         raise ValueError("made with a different model")
+
+
+@names_file
+def check_coeffs(path, vec: np.ndarray, model: MorphableModel) -> None:
+    """Reject the file at `path` if `vec` is not one value per shape basis column."""
+    if vec.shape[0] != model.n_id + model.n_exp:
+        raise ValueError(f"{vec.shape[0]} geometry coefficients, expected "
+                         f"{model.n_id + model.n_exp} for the model")

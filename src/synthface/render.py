@@ -141,46 +141,32 @@ def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
     channels = 1 if colors.ndim == 1 else colors.shape[1]
     cols = colors.reshape(-1, channels)
 
-    image = np.zeros((height, width, channels))
-    mask = np.zeros((height, width), dtype=bool)
-    depth = np.full((height, width), -np.inf)
-    out = RasterOutput(image[..., 0] if channels == 1 else image, mask, depth)
-
-    tri = mesh.triangles
-    x = pts[tri, 0]      # (M, 3)
-    y = pts[tri, 1]
-    # orient every triangle positively (swap vertices 1 and 2 where needed)
+    x = pts[mesh.triangles, 0]      # (M, 3)
+    y = pts[mesh.triangles, 1]
     area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) \
         - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-    flip = area2 < 0
-    tri = tri.copy()
-    tri[flip] = tri[flip][:, [0, 2, 1]]
-    x[flip] = x[flip][:, [0, 2, 1]]
-    y[flip] = y[flip][:, [0, 2, 1]]
-    area2 = np.abs(area2)
-    keep = area2 > 0
-    tri_ids = np.nonzero(keep)[0]
-    if tri_ids.size == 0:
-        return out
-    tri, x, y, area2 = tri[keep], x[keep], y[keep], area2[keep]
-
     # candidate pixels: clipped bounding box per triangle
     ix0 = np.clip(np.ceil(x.min(axis=1) - 0.5).astype(np.int64), 0, width)
     ix1 = np.clip(np.floor(x.max(axis=1) - 0.5).astype(np.int64), -1, width - 1)
     iy0 = np.clip(np.ceil(y.min(axis=1) - 0.5).astype(np.int64), 0, height)
     iy1 = np.clip(np.floor(y.max(axis=1) - 0.5).astype(np.int64), -1, height - 1)
     bw = np.maximum(ix1 - ix0 + 1, 0)
-    bh = np.maximum(iy1 - iy0 + 1, 0)
-    counts = bw * bh
-    nonempty = counts > 0
-    if not nonempty.any():
-        return out
-    tri, x, y, area2, tri_ids = (a[nonempty] for a in (tri, x, y, area2, tri_ids))
-    ix0, iy0, bw, bh, counts = (a[nonempty] for a in (ix0, iy0, bw, bh, counts))
+    counts = bw * np.maximum(iy1 - iy0 + 1, 0)
+
+    # keep the non-degenerate triangles with candidates; the rest also runs on none
+    tri_ids = np.nonzero((area2 != 0) & (counts > 0))[0]
+    tri, x, y, area2, ix0, iy0, bw, counts = (
+        a[tri_ids] for a in (mesh.triangles, x, y, area2, ix0, iy0, bw, counts))
+    # orient every triangle positively (swap vertices 1 and 2 where needed)
+    flip = area2 < 0
+    tri[flip] = tri[flip][:, [0, 2, 1]]
+    x[flip] = x[flip][:, [0, 2, 1]]
+    y[flip] = y[flip][:, [0, 2, 1]]
+    area2 = np.abs(area2)
 
     total = int(counts.sum())
     rep = np.repeat(np.arange(tri.shape[0]), counts)
-    start = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    start = np.cumsum(counts) - counts
     local = np.arange(total) - np.repeat(start, counts)
     px = (ix0[rep] + local % bw[rep] + 0.5).astype(np.float64)
     py = (iy0[rep] + local // bw[rep] + 0.5).astype(np.float64)
@@ -194,8 +180,6 @@ def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
         tl = _top_left(xr[:, a], yr[:, a], xr[:, b], yr[:, b])
         inside &= (e > 0) | ((e == 0) & tl)
         bary[:, k] = e
-    if not inside.any():
-        return out
     rep = rep[inside]
     bary = bary[inside] / area2[rep][:, None]
     px_i = (px[inside] - 0.5).astype(np.int64)
@@ -207,15 +191,18 @@ def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
 
     # resolve: per pixel keep the largest depth, ties to the lowest triangle id
     order = np.lexsort((-tri_ids[rep], frag_depth, pix))
-    pix_sorted = pix[order]
-    last = np.nonzero(np.diff(pix_sorted, append=-1))[0]
-    win = order[last]
+    win = order[np.nonzero(np.diff(pix[order], append=-1))[0]]
+    win_pix = pix[win]
 
-    py_w, px_w = pix[win] // width, pix[win] % width
-    mask[py_w, px_w] = True
-    depth[py_w, px_w] = frag_depth[win]
-    image[py_w, px_w] = frag_color[win]
-    return out
+    image = np.zeros((height * width, channels))
+    mask = np.zeros(height * width, dtype=bool)
+    depth = np.full(height * width, -np.inf)
+    image[win_pix] = frag_color[win]
+    mask[win_pix] = True
+    depth[win_pix] = frag_depth[win]
+    image = image.reshape(height, width, channels)
+    return RasterOutput(image[..., 0] if channels == 1 else image,
+                        mask.reshape(height, width), depth.reshape(height, width))
 
 
 def render_shading_image(mesh: Mesh, pose: PoseParams,
@@ -231,10 +218,8 @@ def render_shading_image(mesh: Mesh, pose: PoseParams,
 
 def sample_lighting(rng: np.random.Generator) -> LightingParams:
     """Reflectance constants around the default means; frontal light direction."""
-    ka, kd, ks = (max(m + s * rng.standard_normal(), 0.0) for m, s in (
-        (defaults.PHONG_MEAN_AMBIENT, defaults.PHONG_SIGMA_AMBIENT),
-        (defaults.PHONG_MEAN_DIFFUSE, defaults.PHONG_SIGMA_DIFFUSE),
-        (defaults.PHONG_MEAN_SPECULAR, defaults.PHONG_SIGMA_SPECULAR)))
+    ka, kd, ks = (max(m + s * rng.standard_normal(), 0.0) for m, s in
+                  zip(defaults.PHONG_MEANS, defaults.PHONG_SIGMAS))
     # uniform area measure on the z > 0 hemisphere
     z = rng.uniform(0.0, 1.0)
     phi = rng.uniform(0.0, 2.0 * np.pi)

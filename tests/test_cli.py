@@ -112,6 +112,18 @@ def test_datagen_missing_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 64), (64, -3)])
+def test_datagen_rejects_bad_size_before_writing(tmp_path, model_file, capsys,
+                                                 width, height):
+    out = tmp_path / "d"
+    rc = run("datagen", "--model", model_file, "--out", out, "--count", 1,
+             "--width", width, "--height", height)
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: image size {width}x{height} must be at least 1x1\n"
+    assert not out.exists()
+
+
 def _non_orthonormal(data):
     model = model_from_bytes(data)
     return model_to_bytes(replace(model, basis_id=2.0 * model.basis_id))
@@ -320,11 +332,23 @@ def _negative_shininess(data):
     return data[:shininess] + struct.pack("<d", -1.0) + data[shininess + 8:]
 
 
+def _short_alphas(data):
+    # alpha_t and alpha_gt, the first two arrays, each lose their last value
+    out, pos = b"", 0
+    for k in range(4):
+        n = struct.unpack_from("<I", data, pos)[0]
+        keep = n - 1 if k < 2 else n
+        out += struct.pack("<I", keep) + data[pos + 4:pos + 4 + 8 * keep]
+        pos += 4 + 8 * n
+    return out
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda data: data[:200],
     lambda data: data + data[-60:],
     _negative_shininess,
-], ids=["truncated", "extra_array", "negative_shininess"])
+    _short_alphas,
+], ids=["truncated", "extra_array", "negative_shininess", "short_alphas"])
 def test_train_corrupt_sample_coeffs_names_file(tmp_path, model_file, pipeline,
                                                 capsys, corrupt):
     data = tmp_path / "data"
@@ -335,6 +359,19 @@ def test_train_corrupt_sample_coeffs_names_file(tmp_path, model_file, pipeline,
              "--out", tmp_path / "p.prd")
     assert rc == 1
     assert_one_line_error(capsys, bad)
+
+
+@pytest.mark.parametrize("name", ["sample_000003_face.pgm",
+                                  "sample_000003_shading.pgm"])
+def test_train_wrong_image_size_names_file(tmp_path, model_file, pipeline,
+                                           capsys, name):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    write_pgm(data / name, np.zeros((32, 32)))    # the manifest says 64x64
+    rc = run("train", "--model", model_file, "--dataset", data,
+             "--out", tmp_path / "p.prd")
+    assert rc == 1
+    assert_one_line_error(capsys, data / name)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -349,6 +386,20 @@ def test_eval_corrupt_coeffs_names_file(tmp_path, model_file, pipeline, capsys,
     rc = run("eval", "--model", model_file, "--gt-coeffs", bad,
              "--ief-coeffs", pipeline / "gt.bin",
              "--landmarks-file", pipeline / "lms.txt",
+             "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev")
+    assert rc == 1
+    assert_one_line_error(capsys, bad)
+
+
+@pytest.mark.parametrize("flag", ["--gt-coeffs", "--ief-coeffs"])
+def test_eval_wrong_length_coeffs_names_file(tmp_path, model_file, pipeline,
+                                             capsys, flag):
+    bad = tmp_path / "short.bin"      # 14 values; the model has 10 + 5
+    save_coeff_vector(bad, load_coeff_vector(pipeline / "gt.bin")[:-1])
+    gt, ief = (bad if f == flag else pipeline / "gt.bin"
+               for f in ("--gt-coeffs", "--ief-coeffs"))
+    rc = run("eval", "--model", model_file, "--gt-coeffs", gt,
+             "--ief-coeffs", ief, "--landmarks-file", pipeline / "lms.txt",
              "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev")
     assert rc == 1
     assert_one_line_error(capsys, bad)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthface.model import (GeometryCoefficients, Texture, TextureCoefficients,
+from synthface.model import (GeometryCoefficients, TextureCoefficients,
                              build_procedural_model, geometry_loss,
                              geometry_loss_grad, project_texture,
                              sample_geometry_coefficients, synthesize_geometry,
@@ -99,18 +99,18 @@ def test_synthesis_is_affine(small_model, seed, scale):
 def test_texture_synthesis_trivial_and_linear(small_model):
     m = small_model
     t0 = synthesize_texture(m, TextureCoefficients(np.zeros(8)))
-    assert np.array_equal(t0.colors.reshape(-1), m.mu_tex)
+    assert np.array_equal(t0.reshape(-1), m.mu_tex)
     ek = np.zeros(8)
     ek[3] = 1.0
     tk = synthesize_texture(m, TextureCoefficients(ek))
-    assert np.allclose(tk.colors.reshape(-1), m.mu_tex + m.basis_tex[:, 3],
+    assert np.allclose(tk.reshape(-1), m.mu_tex + m.basis_tex[:, 3],
                        atol=1e-15)
     r = np.random.default_rng(0)
     a, b = r.standard_normal(8), r.standard_normal(8)
-    lhs = (synthesize_texture(m, TextureCoefficients(a)).colors
-           + synthesize_texture(m, TextureCoefficients(b)).colors
+    lhs = (synthesize_texture(m, TextureCoefficients(a))
+           + synthesize_texture(m, TextureCoefficients(b))
            - m.mu_tex.reshape(-1, 3))
-    rhs = synthesize_texture(m, TextureCoefficients(a + b)).colors
+    rhs = synthesize_texture(m, TextureCoefficients(a + b))
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -199,11 +199,11 @@ def test_project_texture_full_visibility_roundtrip(small_model, rng):
     coeffs, combined = project_texture(small_model, observed, vis,
                                        lambda_tex=1e-9)
     assert np.abs(coeffs.alpha_tex - beta).max() < 1e-6
-    assert np.allclose(combined.colors, observed.colors, atol=1e-9)
+    assert np.allclose(combined, observed, atol=1e-9)
 
 
 def test_project_texture_mean_gives_zero(small_model):
-    observed = Texture(small_model.mu_tex.reshape(-1, 3).copy())
+    observed = small_model.mu_tex.reshape(-1, 3).copy()
     vis = np.ones(small_model.n_vertices, dtype=bool)
     coeffs, _ = project_texture(small_model, observed, vis)
     assert np.abs(coeffs.alpha_tex).max() < 1e-9
@@ -216,7 +216,7 @@ def test_project_texture_half_occluded_roundtrip(small_model, rng):
     coeffs, combined = project_texture(small_model, observed, vis)
     assert np.abs(coeffs.alpha_tex - beta).max() < 1e-4
     # visible vertices keep the observed colors exactly
-    assert np.array_equal(combined.colors[vis], observed.colors[vis])
+    assert np.array_equal(combined[vis], observed[vis])
 
 
 def test_project_texture_idempotent_on_subspace(small_model, rng):
@@ -229,7 +229,7 @@ def test_project_texture_idempotent_on_subspace(small_model, rng):
 
 
 def test_project_texture_rejects_empty_mask(small_model):
-    observed = Texture(small_model.mu_tex.reshape(-1, 3).copy())
+    observed = small_model.mu_tex.reshape(-1, 3).copy()
     with pytest.raises(ValueError):
         project_texture(small_model, observed,
                         np.zeros(small_model.n_vertices, dtype=bool))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from synthface.model import Mesh
 from synthface.render import PoseParams, rasterize
@@ -140,12 +141,22 @@ def test_matches_reference_on_random_meshes(rng):
         assert np.abs(got.image - ref_img).max() <= 1e-9
 
 
-def test_empty_and_offscreen_meshes():
-    pose = PoseParams.identity()
-    v = np.array([[1000.0, 1000, 0], [1001, 1000, 0], [1000, 1001, 0]])
-    raster = rasterize(Mesh(v, np.array([[0, 1, 2]])), np.ones(3), pose, 16, 16)
-    assert not raster.mask.any()
+@pytest.mark.parametrize("rgb", [False, True], ids=["gray", "rgb"])
+@pytest.mark.parametrize("mesh, width", [
+    (Mesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=np.int64)), 16),
+    (Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]])), 16),
+    (Mesh(np.array([[1000.0, 1000, 0], [1001, 1000, 0], [1000, 1001, 0]]),
+          np.array([[0, 1, 2]])), 16),
+    # its box holds 6x6 pixel centres, none of which lies inside it
+    (pixel_triangle([(2.0, 2.2), (8.0, 8.2), (8.0, 8.3)], 16, 16), 16),
+    (pixel_triangle([(2.0, 2.0), (12.0, 2.0), (2.0, 12.0)], 16, 16), 0),
+], ids=["no_triangles", "zero_area", "offscreen", "sliver", "width_0"])
+def test_empty_and_offscreen_meshes(mesh, width, rgb):
+    height = 16
+    colors = np.ones((3, 3) if rgb else 3)
+    raster = rasterize(mesh, colors, PoseParams.identity(), width, height)
+    assert raster.image.shape == ((height, width, 3) if rgb else (height, width))
+    assert not raster.image.any()
+    assert raster.mask.shape == (height, width) and not raster.mask.any()
+    assert raster.depth.shape == (height, width)
     assert np.all(np.isneginf(raster.depth))
-    degen = Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
-    raster = rasterize(degen, np.ones(3), pose, 16, 16)
-    assert not raster.mask.any()

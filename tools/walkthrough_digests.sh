@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Run the README walkthrough and `synthface defaults` with the synthface
+# package and demos of the checkout SRC_DIR, writing into OUT_DIR (which must
+# not exist yet), then print one "sha256  path" line for every file written.
+# The stdout of `eval` and of `defaults` is saved as eval.stdout and
+# defaults.stdout, so it is covered too.  BLAS and OpenMP run one thread each.
+#
+#   tools/walkthrough_digests.sh ../parent out_parent > parent.txt
+#   tools/walkthrough_digests.sh .         out_change > change.txt
+#   diff parent.txt change.txt     # no output: both wrote the same bytes
+set -euo pipefail
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC_DIR OUT_DIR" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir "$2"
+cd "$2"
+export PYTHONPATH="$src/src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+
+synthface() { python3 -m synthface.cli "$@"; }
+
+synthface model-gen --seed 1 --n-id 30 --n-exp 10 --n-tex 10 --grid 32 \
+    --out model.mfm > /dev/null
+synthface datagen --model model.mfm --out data --seed 0 --count 300 \
+    --width 64 --height 64 > /dev/null
+python3 "$src/demos/make_eval_inputs.py" --model model.mfm --out eval_inputs \
+    --seed 123 --width 64 --height 64 > /dev/null
+synthface train --model model.mfm --dataset data --out predictor.prd \
+    --ridge 1.0 > /dev/null
+synthface reconstruct --model model.mfm --predictor predictor.prd \
+    --image eval_inputs/face.pgm --pose-file eval_inputs/pose.txt \
+    --out recon > /dev/null
+synthface eval --model model.mfm --gt-coeffs eval_inputs/gt.bin \
+    --ief-coeffs recon/coefficients.bin \
+    --landmarks-file eval_inputs/landmarks.txt \
+    --pose-file eval_inputs/pose.txt --out report > eval.stdout
+synthface defaults > defaults.stdout
+
+find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum
