@@ -6,6 +6,8 @@ Conventions:
     offset with the y axis flipped
   - meshes face +z, so the depth test keeps the LARGEST rotated z
   - top-left fill rule on shared triangle edges
+  - each triangle row tests only the span between its edge crossings, and
+    only pixels that several fragments hit are sorted by depth
 Shading is Gouraud style: Phong evaluated per vertex, colors interpolated.
 """
 
@@ -91,9 +93,9 @@ def compute_vertex_normals(mesh: Mesh) -> np.ndarray:
     e1 = v[t[:, 1]] - v[t[:, 0]]
     e2 = v[t[:, 2]] - v[t[:, 0]]
     face_n = np.cross(e1, e2)       # magnitude = 2 * area
-    acc = np.zeros_like(v)
-    for k in range(3):
-        np.add.at(acc, t[:, k], face_n)
+    # each vertex sums its faces corner by corner, in the order of t.T.ravel()
+    acc = np.stack([np.bincount(t.T.reshape(-1), weights=np.tile(face_n[:, c], 3),
+                                minlength=v.shape[0]) for c in range(3)], axis=1)
     norms = np.linalg.norm(acc, axis=1)
     bad = norms < 1e-300
     acc[bad] = (0.0, 0.0, 1.0)
@@ -121,14 +123,10 @@ def phong_shade(albedo: np.ndarray, normal: np.ndarray,
 # ---------------------------------------------------------------------------
 # Rasterization
 
-def _edge(ax, ay, bx, by, px, py):
-    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-
-
-def _top_left(ax, ay, bx, by):
-    dx = bx - ax
-    dy = by - ay
-    return (dy == 0) & (dx < 0) | (dy > 0)
+def _ranges(start, count):
+    """Members of the integer ranges [start, start + count): (range index, value)."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(count) - count - start, count)
 
 
 def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
@@ -141,65 +139,71 @@ def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
     channels = 1 if colors.ndim == 1 else colors.shape[1]
     cols = colors.reshape(-1, channels)
 
-    x = pts[mesh.triangles, 0]      # (M, 3)
-    y = pts[mesh.triangles, 1]
-    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) \
-        - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-    # candidate pixels: clipped bounding box per triangle
-    ix0 = np.clip(np.ceil(x.min(axis=1) - 0.5).astype(np.int64), 0, width)
-    ix1 = np.clip(np.floor(x.max(axis=1) - 0.5).astype(np.int64), -1, width - 1)
-    iy0 = np.clip(np.ceil(y.min(axis=1) - 0.5).astype(np.int64), 0, height)
-    iy1 = np.clip(np.floor(y.max(axis=1) - 0.5).astype(np.int64), -1, height - 1)
-    bw = np.maximum(ix1 - ix0 + 1, 0)
-    counts = bw * np.maximum(iy1 - iy0 + 1, 0)
-
-    # keep the non-degenerate triangles with candidates; the rest also runs on none
-    tri_ids = np.nonzero((area2 != 0) & (counts > 0))[0]
-    tri, x, y, area2, ix0, iy0, bw, counts = (
-        a[tri_ids] for a in (mesh.triangles, x, y, area2, ix0, iy0, bw, counts))
+    tri = mesh.triangles.T.copy()           # (3, M)
+    x, y = pts[:, 0].take(tri), pts[:, 1].take(tri)
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     # orient every triangle positively (swap vertices 1 and 2 where needed)
     flip = area2 < 0
-    tri[flip] = tri[flip][:, [0, 2, 1]]
-    x[flip] = x[flip][:, [0, 2, 1]]
-    y[flip] = y[flip][:, [0, 2, 1]]
+    for a in (tri, x, y):
+        a[1], a[2] = np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2])
     area2 = np.abs(area2)
+    # the rows of each triangle's pixel box, clipped to the image; none for
+    # degenerate triangles
+    iy0 = np.clip(np.ceil(np.minimum(np.minimum(y[0], y[1]), y[2]) - 0.5).astype(np.int64),
+                  0, height)
+    iy1 = np.clip(np.floor(np.maximum(np.maximum(y[0], y[1]), y[2]) - 0.5).astype(np.int64),
+                  -1, height - 1)
+    rows = np.where(area2 != 0, np.maximum(iy1 - iy0 + 1, 0), 0)
 
-    total = int(counts.sum())
-    rep = np.repeat(np.arange(tri.shape[0]), counts)
-    start = np.cumsum(counts) - counts
-    local = np.arange(total) - np.repeat(start, counts)
-    px = (ix0[rep] + local % bw[rep] + 0.5).astype(np.float64)
-    py = (iy0[rep] + local // bw[rep] + 0.5).astype(np.float64)
+    # edge k runs from vertex k+1 to k+2: e_k = dx (py - ay) - dy (px - ax);
+    # a pixel is inside where every e_k > 0, or e_k == 0 on a top or left edge
+    ax, ay = x[[1, 2, 0]], y[[1, 2, 0]]
+    dx, dy = x[[2, 0, 1]] - ax, y[[2, 0, 1]] - ay
+    top_left = (dy == 0) & (dx < 0) | (dy > 0)
+    # per (triangle, row): e_k >= 0 bounds px from below where dy < 0 and from
+    # above where dy > 0 (NaN marks the other edges); the span between the
+    # bounds, padded far beyond their rounding error, holds every covered pixel
+    rt, iy = _ranges(iy0, rows)
+    r_ax, r_ay, r_dx, dy_lo, dy_hi = (np.take(a, rt, axis=1) for a in (
+        ax, ay, dx, np.where(dy < 0, dy, np.nan), np.where(dy > 0, dy, np.nan)))
+    t1 = r_dx * (iy + 0.5 - r_ay)
+    pad = 2.0 ** -32 * (1.0 + np.abs(x).max(initial=0.0))
+    with np.errstate(over="ignore"):    # t1 / dy can overflow where dy is tiny
+        lo = np.fmax.reduce(r_ax + t1 / dy_lo) - pad
+        hi = np.fmin.reduce(r_ax + t1 / dy_hi) + pad
+    x0 = np.fmin(np.fmax(np.ceil(lo - 0.5), 0), width).astype(np.int64)
+    x1 = np.fmax(np.fmin(np.floor(hi - 0.5), width - 1), -1).astype(np.int64)
+    rc, ix = _ranges(x0, np.maximum(x1 - x0 + 1, 0))
 
-    xr, yr = x[rep], y[rep]
-    inside = np.ones(total, dtype=bool)
-    bary = np.empty((total, 3))
-    for k in range(3):
-        a, b = (k + 1) % 3, (k + 2) % 3
-        e = _edge(xr[:, a], yr[:, a], xr[:, b], yr[:, b], px, py)
-        tl = _top_left(xr[:, a], yr[:, a], xr[:, b], yr[:, b])
-        inside &= (e > 0) | ((e == 0) & tl)
-        bary[:, k] = e
+    # the exact edge test decides coverage
+    rep = rt.take(rc)
+    e = np.take(t1, rc, axis=1) \
+        - np.take(dy, rep, axis=1) * (ix + 0.5 - np.take(ax, rep, axis=1))
+    inside = np.logical_and.reduce((e > 0) | (e == 0) & np.take(top_left, rep, axis=1))
     rep = rep[inside]
-    bary = bary[inside] / area2[rep][:, None]
-    px_i = (px[inside] - 0.5).astype(np.int64)
-    py_i = (py[inside] - 0.5).astype(np.int64)
+    bary = np.divide(np.compress(inside, e, axis=1).T, area2.take(rep)[:, None],
+                     out=np.empty((rep.size, 3)))
+    tri = np.ascontiguousarray(tri.T).take(rep, axis=0)
+    pix = iy.take(rc[inside]) * width + ix[inside]
+    frag_depth = np.einsum("fk,fk->f", bary, depths.take(tri))
 
-    frag_depth = np.einsum("fk,fk->f", bary, depths[tri[rep]])
-    frag_color = np.einsum("fk,fkc->fc", bary, cols[tri[rep]])
-    pix = py_i * width + px_i
-
-    # resolve: per pixel keep the largest depth, ties to the lowest triangle id
-    order = np.lexsort((-tri_ids[rep], frag_depth, pix))
-    win = order[np.nonzero(np.diff(pix[order], append=-1))[0]]
-    win_pix = pix[win]
+    # resolve: a pixel hit once takes its fragment; where fragments collide
+    # keep the largest depth, ties to the lowest triangle id
+    hits = np.bincount(pix).take(pix)
+    multi = np.nonzero(hits > 1)[0]
+    order = multi.take(np.lexsort(
+        (-rep.take(multi), frag_depth.take(multi), pix.take(multi))))
+    win = np.concatenate([np.nonzero(hits == 1)[0],
+                          order[np.nonzero(np.diff(pix.take(order), append=-1))[0]]])
+    win_pix = pix.take(win)
 
     image = np.zeros((height * width, channels))
     mask = np.zeros(height * width, dtype=bool)
     depth = np.full(height * width, -np.inf)
-    image[win_pix] = frag_color[win]
+    image[win_pix] = np.einsum("fk,fkc->fc", bary.take(win, axis=0),
+                               cols.take(tri.take(win, axis=0), axis=0))
     mask[win_pix] = True
-    depth[win_pix] = frag_depth[win]
+    depth[win_pix] = frag_depth.take(win)
     image = image.reshape(height, width, channels)
     return RasterOutput(image[..., 0] if channels == 1 else image,
                         mask.reshape(height, width), depth.reshape(height, width))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthface.model import Mesh
 from synthface.render import PoseParams, rasterize
@@ -62,13 +63,32 @@ def reference_rasterize(mesh, colors, pose, width, height):
     return image, mask, depth
 
 
-def pixel_triangle(cells, width, height):
-    """Triangle whose projection under the identity pose hits given pixel coords."""
+def pixel_mesh(cells, width, height, depths=None, triangles=((0, 1, 2),)):
+    """Mesh whose vertices project to the given pixel coords under the identity pose."""
     px = np.asarray(cells, dtype=np.float64)
-    verts = np.zeros((3, 3))
+    verts = np.zeros((px.shape[0], 3))
     verts[:, 0] = px[:, 0] - width / 2.0
     verts[:, 1] = height / 2.0 - px[:, 1]
-    return Mesh(verts, np.array([[0, 1, 2]]))
+    if depths is not None:
+        verts[:, 2] = depths
+    return Mesh(verts, np.array(triangles))
+
+
+def pixel_triangle(cells, width, height):
+    """Triangle whose projection under the identity pose hits given pixel coords."""
+    return pixel_mesh(cells, width, height)
+
+
+def assert_matches_reference(mesh, colors, width, height):
+    """Identity-pose raster: exact mask, image and depth within 1e-9 of the oracle."""
+    pose = PoseParams.identity()
+    got = rasterize(mesh, colors, pose, width, height)
+    ref_img, ref_mask, ref_depth = reference_rasterize(mesh, colors, pose, width, height)
+    assert np.array_equal(got.mask, ref_mask)
+    assert np.abs(got.depth[ref_mask] - ref_depth[ref_mask]).max(initial=0.0) <= 1e-9
+    assert np.all(np.isneginf(got.depth[~ref_mask]))
+    assert np.abs(got.image - ref_img).max(initial=0.0) <= 1e-9
+    return got
 
 
 def test_single_triangle_exact_pixel_set():
@@ -160,3 +180,79 @@ def test_empty_and_offscreen_meshes(mesh, width, rgb):
     assert raster.mask.shape == (height, width) and not raster.mask.any()
     assert raster.depth.shape == (height, width)
     assert np.all(np.isneginf(raster.depth))
+
+
+# Where spans could lose a pixel: edges through pixel centres, axis-aligned
+# edges, slivers, clipping on every side and spans far wider than the image.
+# The image is 16 x 12 so that x and y cannot be swapped unnoticed.
+@pytest.mark.parametrize("cells, triangles", [
+    # a rectangle on pixel centres cut along its diagonal
+    ([(2.5, 1.5), (12.5, 1.5), (12.5, 9.5), (2.5, 9.5)], [(0, 1, 2), (0, 2, 3)]),
+    # the same rectangle on pixel corners (half-integers from the centres)
+    ([(2.0, 1.0), (13.0, 1.0), (13.0, 10.0), (2.0, 10.0)], [(0, 2, 1), (0, 3, 2)]),
+    # a fan around a centre: horizontal, vertical and diagonal edges through centres
+    ([(7.5, 5.5), (13.5, 5.5), (7.5, 0.5), (1.5, 5.5), (7.5, 11.5), (13.5, 11.5)],
+     [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1)]),
+    # slivers thinner than a pixel that still cover a column, a row and a diagonal
+    ([(3.4, 0.3), (3.6, 0.3), (3.5, 11.7)], [(0, 1, 2)]),
+    ([(0.3, 5.45), (15.7, 5.5), (0.3, 5.55)], [(0, 1, 2)]),
+    ([(0.5, 0.5), (11.5, 11.5), (11.6, 11.5), (11.4, 11.5)], [(0, 1, 2), (0, 3, 1)]),
+    # edges 1e-9 px beyond rows and diagonals of pixel centres
+    ([(2.5 - 1e-9, 1.5 - 1e-9), (12.5 + 1e-9, 1.5 - 1e-9), (12.5 + 1e-9, 9.5 + 1e-9),
+      (2.5 - 1e-9, 9.5 + 1e-9)], [(0, 1, 2), (0, 2, 3)]),
+    ([(0.5 - 1e-9, 0.5), (11.5 - 1e-9, 11.5), (15.5, 0.5),
+      (0.5 + 1e-9, 0.5), (11.5 + 1e-9, 11.5), (0.5, 11.5)], [(0, 1, 2), (3, 4, 5)]),
+    # edges through pixel centres up to rounding: a span taken from the edge
+    # crossings without padding misses a covered centre of each
+    ([(0.6850710052566287, 8.08594935043344), (4.458417218191594, 11.321927555704518),
+      (4.359466436223444, 12.411258526148941), (2.960351449632017, 3.442767400633021),
+      (-1.038298760837273, 6.337620798449706), (4.267560591285717, 1.6934189128846504)],
+     [(0, 1, 2), (3, 4, 5)]),
+    # larger than the image and clipped on all four sides
+    ([(-40.0, -30.0), (60.0, -30.0), (10.0, 50.0)], [(0, 1, 2)]),
+    # far off-screen vertices: the spans of every row reach far past the image
+    ([(-1e6, 6.2), (1e6, 5.8), (8.3, 1e6), (-1e6, -1e6), (1e6, 3.3), (5.2, 1e6)],
+     [(0, 1, 2), (3, 4, 5)]),
+], ids=["centres", "corners", "fan", "sliver_column", "sliver_row",
+        "sliver_diagonal", "near_centres", "near_diagonal", "rounding", "clipped_all_sides", "far_offscreen"])
+def test_span_edge_cases_match_reference(cells, triangles, rng):
+    width, height = 16, 12
+    depths = rng.uniform(-1.0, 1.0, len(cells))
+    mesh = pixel_mesh(cells, width, height, depths, triangles)
+    got = assert_matches_reference(mesh, rng.uniform(size=(len(cells), 3)), width, height)
+    assert got.mask.any()
+
+
+def test_coplanar_duplicate_keeps_lowest_triangle_id(rng):
+    width, height = 16, 12
+    cells = [(1.5, 0.5), (14.0, 3.25), (4.75, 11.5)] * 2
+    mesh = pixel_mesh(cells, width, height, [0.5, -0.25, 1.0] * 2,
+                      [(0, 1, 2), (3, 4, 5), (1, 2, 0)])
+    colors = np.repeat([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 3, axis=0)
+    got = assert_matches_reference(mesh, colors, width, height)
+    assert got.mask.any()
+    assert np.allclose(got.image[got.mask], [1.0, 0.0, 0.0])
+
+
+quarters = st.integers(-8, 56).map(lambda q: q / 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_matches_reference_on_quarter_pixel_grid(data):
+    # quarter-pixel corners put edges and corners on pixel centres and edges
+    # often, and triangles drawn from one small pool share edges.  Each
+    # triangle is flat at its own depth: two overlapping triangles at equal
+    # depth would tie only up to rounding, which the oracle does not settle.
+    width, height = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    pool = data.draw(st.lists(st.tuples(quarters, quarters), min_size=3, max_size=7))
+    corners = st.integers(0, len(pool) - 1)
+    triangles = data.draw(st.lists(st.tuples(corners, corners, corners),
+                                   min_size=1, max_size=8))
+    levels = data.draw(st.permutations(range(len(triangles))))
+    n = 3 * len(triangles)
+    colors = np.linspace(0.0, 1.0, n) if data.draw(st.booleans()) \
+        else np.linspace(0.0, 1.0, 3 * n).reshape(n, 3)
+    mesh = pixel_mesh([pool[i] for t in triangles for i in t], width, height,
+                      np.repeat(levels, 3) / 4.0, np.arange(n).reshape(-1, 3))
+    assert_matches_reference(mesh, colors, width, height)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run the README walkthrough and `synthface defaults` with the synthface
-# package and demos of the checkout SRC_DIR, writing into OUT_DIR (which must
-# not exist yet), then print one "sha256  path" line for every file written.
+# Run the README walkthrough, a 200x200 datagen and `synthface defaults` with
+# the synthface package and demos of the checkout SRC_DIR, writing into OUT_DIR
+# (which must not exist yet), then print one "sha256  path" line for every
+# file written.
 # The stdout of `eval` and of `defaults` is saved as eval.stdout and
 # defaults.stdout, so it is covered too.  BLAS and OpenMP run one thread each.
 #
@@ -24,6 +25,10 @@ synthface model-gen --seed 1 --n-id 30 --n-exp 10 --n-tex 10 --grid 32 \
     --out model.mfm > /dev/null
 synthface datagen --model model.mfm --out data --seed 0 --count 300 \
     --width 64 --height 64 > /dev/null
+# the benchmark's image size, so that a rasterizer change seen only at 200x200
+# shows too
+synthface datagen --model model.mfm --out data200 --seed 0 --count 20 \
+    --width 200 --height 200 > /dev/null
 python3 "$src/demos/make_eval_inputs.py" --model model.mfm --out eval_inputs \
     --seed 123 --width 64 --height 64 > /dev/null
 synthface train --model model.mfm --dataset data --out predictor.prd \
