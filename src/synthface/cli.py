@@ -93,8 +93,7 @@ def _cmd_eval(args) -> int:
         check_coeffs(path, vec, model)
         coeffs.append(GeometryCoefficients.from_vector(vec, model.n_id))
     gt, ief = coeffs
-    baseline = landmark_fit(landmarks, pose, model, width, height,
-                            lambda_reg=args.ridge)
+    baseline = landmark_fit(landmarks, pose, model, width, height)
 
     gt_mesh = synthesize_geometry(model, gt)
     os.makedirs(args.out, exist_ok=True)
@@ -194,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose-file", required=True, dest="pose_file",
                    help="pose parameter text file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ridge", type=float, default=defaults.LAMBDA_LANDMARK,
-                   help=f"landmark fit regularizer (default {defaults.LAMBDA_LANDMARK})")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("defaults",

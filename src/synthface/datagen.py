@@ -129,7 +129,10 @@ def _read_arrays(path):
         if len(data) - pos < 8 * n:
             raise ValueError(f"array {len(arrays)} declares {n} values "
                              f"({8 * n} bytes) but {len(data) - pos} bytes remain")
-        arrays.append(np.frombuffer(data, dtype="<f8", count=n, offset=pos).copy())
+        arr = np.frombuffer(data, dtype="<f8", count=n, offset=pos).copy()
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"array {len(arrays)} contains non-finite values")
+        arrays.append(arr)
         pos += 8 * n
     return arrays
 

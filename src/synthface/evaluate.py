@@ -131,7 +131,7 @@ def optimal_similarity_align(source: Mesh, target: Mesh):
 
     cov = yc.T @ xc / n
     u, d, vt = np.linalg.svd(cov)
-    if np.linalg.matrix_rank(cov, tol=1e-12 * max(d[0], 1e-300)) < 2:
+    if np.count_nonzero(d > 1e-12 * max(d[0], 1e-300)) < 2:
         raise ValueError("point sets are collinear; alignment is ill-posed")
     s = np.ones(3)
     if np.linalg.det(u) * np.linalg.det(vt) < 0:
@@ -194,6 +194,8 @@ def load_landmarks(path, n_vertices: int) -> LandmarkSet:
             indices.append(int(idx))
             points.append((float(px), float(py)))
     landmarks = LandmarkSet(np.array(indices), np.array(points))
+    if not np.all(np.isfinite(landmarks.image_points)):
+        raise ValueError("landmark coordinates contain non-finite values")
     idx = landmarks.vertex_indices
     if idx.min() < 0 or idx.max() >= n_vertices:
         raise ValueError(f"landmark vertex index out of range for {n_vertices} vertices")

@@ -27,31 +27,34 @@ def check_size(path, size: tuple, expected: tuple, source) -> None:
                          f"{expected[0]}x{expected[1]} of {source}")
 
 
-def quantize(img: np.ndarray) -> np.ndarray:
-    """Snap float image values in [0,1] to the 8-bit grid (k/255)."""
-    return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
-
-
 def _to_u8(img: np.ndarray) -> np.ndarray:
     return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
-def write_pgm(path, img: np.ndarray) -> None:
-    """Single-channel image (H, W) with float values in [0,1], or bool mask."""
+def quantize(img: np.ndarray) -> np.ndarray:
+    """Snap float image values in [0,1] to the 8-bit grid (k/255)."""
+    return _to_u8(img) / 255.0
+
+
+def _write_pnm(path, magic: str, img: np.ndarray, channels: tuple) -> None:
+    """Binary PNM of an (H, W) + `channels` image with float values in [0,1]."""
     data = _to_u8(img)
-    h, w = data.shape
+    h, w = data.shape[:2]
+    if data.shape[2:] != channels:
+        raise ValueError(f"{magic} image shape {data.shape} is not (H, W) + {channels}")
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
+        f.write(f"{magic}\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())
+
+
+def write_pgm(path, img: np.ndarray) -> None:
+    """Single-channel image (H, W) with float values in [0,1]."""
+    _write_pnm(path, "P5", img, ())
 
 
 def write_ppm(path, img: np.ndarray) -> None:
     """RGB image (H, W, 3) with float values in [0,1]."""
-    data = _to_u8(img)
-    h, w, _ = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(data.tobytes())
+    _write_pnm(path, "P6", img, (3,))
 
 
 @names_file

@@ -1,12 +1,12 @@
 """Linear morphable face model: synthesis, sampling, losses and texture projection.
 
-The model represents geometry as ``mu_S + A_id @ alpha_id + A_exp @ alpha_exp``
-and per-vertex color as ``mu_T + A_T @ alpha_T``, passed around as a plain
-(N, 3) array.  A procedural builder stands in for a scan-derived basis: the
-mean is a smooth face-like heightfield and the basis columns are
-orthonormalized smooth random displacement fields, which keeps every
-algebraic property (linearity, orthonormal Gram matrix) that the rest of the
-pipeline relies on.
+The model represents geometry as ``mu_S + [A_id | A_exp] @ [alpha_id; alpha_exp]``
+with one shape basis, and per-vertex color as ``mu_T + A_T @ alpha_T``,
+passed around as a plain (N, 3) array.  A procedural builder stands in for a
+scan-derived basis: the mean is a smooth face-like heightfield and the basis
+columns are orthonormalized smooth random displacement fields, which keeps
+every algebraic property (linearity, orthonormal Gram matrix) that the rest
+of the pipeline relies on.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class Mesh:
 @dataclass(frozen=True)
 class MorphableModel:
     mu_shape: np.ndarray       # (3N,), interleaved xyz
-    basis_id: np.ndarray       # (3N, n_id)
-    basis_exp: np.ndarray      # (3N, n_exp)
+    shape_basis: np.ndarray    # (3N, n_id + n_exp), [A_id | A_exp]
+    n_id: int                  # leading shape_basis columns that are identity
     mu_tex: np.ndarray         # (3N,), interleaved rgb
     basis_tex: np.ndarray      # (3N, n_tex)
     triangles: np.ndarray      # (M, 3) int
@@ -93,11 +93,13 @@ class MorphableModel:
         n3 = self.mu_shape.shape[0]
         if n3 % 3 != 0:
             raise ValueError("mu_shape length must be a multiple of 3")
-        for name in ("basis_id", "basis_exp", "basis_tex"):
-            b = getattr(self, name)
-            if b.shape[0] != n3:
-                raise ValueError(f"{name} row count {b.shape[0]} != 3N={n3}")
-            if not np.all(np.isfinite(b)):
+        if not 0 <= self.n_id <= self.shape_basis.shape[1]:
+            raise ValueError(f"n_id={self.n_id} exceeds the shape basis columns")
+        for name in ("mu_shape", "shape_basis", "mu_tex", "basis_tex"):
+            a = getattr(self, name)
+            if a.shape[0] != n3:
+                raise ValueError(f"{name} row count {a.shape[0]} != 3N={n3}")
+            if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite values")
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise ValueError("triangle index out of range")
@@ -110,23 +112,22 @@ class MorphableModel:
         return self.mu_shape.shape[0] // 3
 
     @property
-    def n_id(self) -> int:
-        return self.basis_id.shape[1]
-
-    @property
     def n_exp(self) -> int:
-        return self.basis_exp.shape[1]
+        return self.shape_basis.shape[1] - self.n_id
 
     @property
     def n_tex(self) -> int:
         return self.basis_tex.shape[1]
 
     @property
-    def shape_basis(self) -> np.ndarray:
-        """Concatenated [basis_id | basis_exp], cached."""
-        if "shape_basis" not in self._cache:
-            self._cache["shape_basis"] = np.hstack([self.basis_id, self.basis_exp])
-        return self._cache["shape_basis"]
+    def basis_id(self) -> np.ndarray:
+        """A_id, a view of the leading shape_basis columns."""
+        return self.shape_basis[:, :self.n_id]
+
+    @property
+    def basis_exp(self) -> np.ndarray:
+        """A_exp, a view of the trailing shape_basis columns."""
+        return self.shape_basis[:, self.n_id:]
 
     @property
     def mean_mesh(self) -> Mesh:
@@ -298,8 +299,8 @@ def build_procedural_model(seed: int,
 
     return MorphableModel(
         mu_shape=verts.reshape(-1),
-        basis_id=shape_basis[:, :n_id],
-        basis_exp=shape_basis[:, n_id:],
+        shape_basis=shape_basis,
+        n_id=n_id,
         mu_tex=mu_tex.reshape(-1),
         basis_tex=tex_basis,
         triangles=tris,
@@ -327,14 +328,21 @@ def synthesize_texture(model: MorphableModel, tcoeffs: TextureCoefficients) -> n
     return (model.mu_tex + model.basis_tex @ tcoeffs.alpha_tex).reshape(-1, 3)
 
 
+def _shape_residual(model: MorphableModel,
+                    x: GeometryCoefficients,
+                    y: GeometryCoefficients) -> np.ndarray:
+    """Vertex-space difference of the two synthesized geometries."""
+    dx = x.vector - y.vector
+    if dx.shape[0] != model.shape_basis.shape[1]:
+        raise ValueError("coefficient dimensions do not match the model")
+    return model.shape_basis @ dx
+
+
 def geometry_loss(model: MorphableModel,
                   x: GeometryCoefficients,
                   y: GeometryCoefficients) -> float:
     """Squared error between the two synthesized geometries (vertex space)."""
-    dx = x.vector - y.vector
-    if dx.shape[0] != model.n_id + model.n_exp:
-        raise ValueError("coefficient dimensions do not match the model")
-    d = model.shape_basis @ dx
+    d = _shape_residual(model, x, y)
     return float(d @ d)
 
 
@@ -342,11 +350,7 @@ def geometry_loss_grad(model: MorphableModel,
                        x: GeometryCoefficients,
                        y: GeometryCoefficients) -> np.ndarray:
     """Gradient of geometry_loss with respect to x."""
-    dx = x.vector - y.vector
-    if dx.shape[0] != model.n_id + model.n_exp:
-        raise ValueError("coefficient dimensions do not match the model")
-    b = model.shape_basis
-    return 2.0 * (b.T @ (b @ dx))
+    return 2.0 * (model.shape_basis.T @ _shape_residual(model, x, y))
 
 
 def sample_geometry_coefficients(rng: np.random.Generator,

@@ -1,8 +1,8 @@
 """Binary MFM1 model file format.
 
 Layout (little-endian): magic ``MFM1``; u32 N, M, n_id, n_exp, n_tex; then
-float64 arrays mu_S, A_id (column-major), A_exp, mu_T, A_T; u32 triangle
-triples; optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices,
+float64 arrays mu_S, the shape basis [A_id | A_exp] (column-major, so A_id's
+columns and then A_exp's), mu_T, A_T (column-major); u32 triangle triples; optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices,
 which ends the file.  Round-trips are bit-exact.  Loading rejects a file
 whose shape basis ``[A_id | A_exp]`` is not orthonormal: the vertex-space
 loss, the ridge predictor and the landmark prior all rely on that.
@@ -29,11 +29,8 @@ def model_to_bytes(model: MorphableModel) -> bytes:
     m = model.triangles.shape[0]
     buf.write(MAGIC)
     buf.write(struct.pack("<5I", n, m, model.n_id, model.n_exp, model.n_tex))
-    buf.write(model.mu_shape.astype("<f8").tobytes())
-    buf.write(np.asfortranarray(model.basis_id.astype("<f8")).tobytes(order="F"))
-    buf.write(np.asfortranarray(model.basis_exp.astype("<f8")).tobytes(order="F"))
-    buf.write(model.mu_tex.astype("<f8").tobytes())
-    buf.write(np.asfortranarray(model.basis_tex.astype("<f8")).tobytes(order="F"))
+    for arr in (model.mu_shape, model.shape_basis, model.mu_tex, model.basis_tex):
+        buf.write(np.asarray(arr, dtype="<f8").tobytes(order="F"))
     buf.write(model.triangles.astype("<u4").tobytes())
     if model.landmark_indices is not None:
         buf.write(LANDMARK_MAGIC)
@@ -58,8 +55,8 @@ def model_from_bytes(data: bytes) -> MorphableModel:
         return arr
 
     mu_s = read_f8(3 * n)
-    a_id = read_f8(3 * n * n_id, (3 * n, n_id), order="F")
-    a_exp = read_f8(3 * n * n_exp, (3 * n, n_exp), order="F")
+    # kept column-major as read: its column views multiply as A_id and A_exp did
+    basis = read_f8(3 * n * (n_id + n_exp), (3 * n, n_id + n_exp), order="F")
     mu_t = read_f8(3 * n)
     a_tex = read_f8(3 * n * n_tex, (3 * n, n_tex), order="F")
     tris = np.frombuffer(data, dtype="<u4", count=3 * m, offset=off) \
@@ -76,9 +73,8 @@ def model_from_bytes(data: bytes) -> MorphableModel:
         off += 8 + 4 * k
         if off != len(data):
             raise ValueError(f"{len(data) - off} bytes after the landmark trailer")
-    model = MorphableModel(mu_s, a_id, a_exp, mu_t, a_tex, tris,
+    model = MorphableModel(mu_s, basis, n_id, mu_t, a_tex, tris,
                            landmark_indices=landmarks)
-    basis = model.shape_basis
     if not np.allclose(basis.T @ basis, np.eye(n_id + n_exp), atol=1e-8):
         raise ValueError("shape basis [A_id | A_exp] is not orthonormal")
     return model

@@ -154,10 +154,12 @@ def ief_reconstruct(face_image: np.ndarray,
     mask = np.ones(face_image.shape, dtype=bool)
     shading_img = np.zeros_like(face_image)
 
-    for _ in range(config.iterations):
+    for k in range(config.iterations + 1):
         mesh = synthesize_geometry(
             model, GeometryCoefficients.from_vector(alpha, model.n_id))
         raster = render_shading_image(mesh, pose, config.width, config.height)
+        if k == config.iterations:
+            return ReconstructionResult(iterates, mesh, raster.image)
         # a degenerate estimate keeps the last non-empty mask and shading
         if raster.mask.any():
             mask, shading_img = raster.mask, raster.image
@@ -167,12 +169,6 @@ def ief_reconstruct(face_image: np.ndarray,
         if alpha.shape != (n_coeffs,):
             raise ValueError("predictor returned a wrong-sized coefficient vector")
         iterates.append(alpha.copy())
-
-    final_mesh = synthesize_geometry(
-        model, GeometryCoefficients.from_vector(alpha, model.n_id))
-    final_shading = render_shading_image(final_mesh, pose,
-                                         config.width, config.height)
-    return ReconstructionResult(iterates, final_mesh, final_shading.image)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +200,9 @@ def load_predictor(path) -> LinearPredictor:
     if len(data) != expected:
         raise ValueError(f"{len(data)} bytes, expected {expected} for "
                          f"{width}x{height} pool {k} n_coeffs={n_coeffs}")
-    weight = np.frombuffer(data, dtype="<f8", count=n_coeffs * n_in,
-                           offset=HEADER.size).copy().reshape(n_coeffs, n_in)
-    bias = np.frombuffer(data, dtype="<f8", count=n_coeffs,
-                         offset=HEADER.size + 8 * n_coeffs * n_in).copy()
+    values = np.frombuffer(data, dtype="<f8", offset=HEADER.size)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("weight or bias contains non-finite values")
+    weight = values[:n_coeffs * n_in].reshape(n_coeffs, n_in).copy()
+    bias = values[n_coeffs * n_in:].copy()
     return LinearPredictor(weight, bias, width, height, k, digest.hex())

@@ -126,7 +126,12 @@ def test_datagen_rejects_bad_size_before_writing(tmp_path, model_file, capsys,
 
 def _non_orthonormal(data):
     model = model_from_bytes(data)
-    return model_to_bytes(replace(model, basis_id=2.0 * model.basis_id))
+    return model_to_bytes(replace(model, shape_basis=2.0 * model.shape_basis))
+
+
+def _nan_at(offset):
+    """Corrupt a binary file by writing a float64 NaN at byte `offset`."""
+    return lambda data: data[:offset] + struct.pack("<d", np.nan) + data[offset + 8:]
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -136,8 +141,9 @@ def _non_orthonormal(data):
     _non_orthonormal,
     lambda data: data[:-4] + struct.pack("<I", 5000),
     lambda data: data + b"\x00" * 8,
+    _nan_at(24),                        # the first mu_shape value
 ], ids=["junk", "truncated", "short", "non_orthonormal", "landmark_5000",
-        "trailing"])
+        "trailing", "nan_mu_shape"])
 def test_datagen_corrupt_model_names_file(tmp_path, model_file, capsys, corrupt):
     bad = tmp_path / "corrupt.mfm"
     bad.write_bytes(corrupt(model_file.read_bytes()))
@@ -263,7 +269,8 @@ def test_eval_reads_image_size_from_pose(tmp_path, model_file, pipeline):
     lambda data: data[:100],
     lambda data: data[:6],
     lambda data: data + b"\x00" * 8,
-], ids=["truncated", "short", "trailing"])
+    _nan_at(52),                        # the first weight, after the header
+], ids=["truncated", "short", "trailing", "nan_weight"])
 def test_reconstruct_corrupt_predictor_names_file(tmp_path, model_file, pipeline,
                                                   capsys, corrupt):
     bad = tmp_path / "corrupt.prd"
@@ -290,13 +297,15 @@ def _text_lines(edit):
     ("pose.txt", _text_lines(lambda ls: ls[:-1])),
     ("pose.txt", _text_lines(lambda ls: ls + ls[-1:])),
     ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 64.0 64"])),
+    ("pose.txt", _text_lines(lambda ls: ["f nan"] + ls[1:])),
+    ("pose.txt", _text_lines(lambda ls: ls[:-2] + ["t inf 0 0"] + ls[-1:])),
     # a valid image or pose made for another size than the 64x64 predictor's
     ("face.pgm", lambda data: b"P5\n128 128\n255\n" + bytes(128 * 128)),
     ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 200 200"])),
 ], ids=["pgm_cut_1000", "pgm_trailing", "pose_f_abc", "pose_f_two_values",
         "pose_R_scaled", "pose_R_two_values", "pose_t_four_values",
-        "pose_no_size", "pose_two_sizes", "pose_size_float",
-        "pgm_128x128", "pose_size_200"])
+        "pose_no_size", "pose_two_sizes", "pose_size_float", "pose_f_nan",
+        "pose_t_inf", "pgm_128x128", "pose_size_200"])
 def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
                                               capsys, name, corrupt):
     for f in ("p.prd", "face.pgm", "pose.txt"):
@@ -348,7 +357,10 @@ def _short_alphas(data):
     lambda data: data + data[-60:],
     _negative_shininess,
     _short_alphas,
-], ids=["truncated", "extra_array", "negative_shininess", "short_alphas"])
+    # the pose's f: 13 pose values, the lighting's length prefix and 7 values
+    lambda data: _nan_at(len(data) - 8 * 13 - 4 - 8 * 7)(data),
+], ids=["truncated", "extra_array", "negative_shininess", "short_alphas",
+        "nan_pose"])
 def test_train_corrupt_sample_coeffs_names_file(tmp_path, model_file, pipeline,
                                                 capsys, corrupt):
     data = tmp_path / "data"
@@ -378,7 +390,8 @@ def test_train_wrong_image_size_names_file(tmp_path, model_file, pipeline,
     lambda data: data[:92],
     lambda data: data[:91],
     lambda data: data + b"\x00" * 8,
-], ids=["truncated_92", "truncated_91", "trailing"])
+    _nan_at(4),                         # the first value
+], ids=["truncated_92", "truncated_91", "trailing", "nan"])
 def test_eval_corrupt_coeffs_names_file(tmp_path, model_file, pipeline, capsys,
                                         corrupt):
     bad = tmp_path / "gt.bin"
@@ -414,7 +427,8 @@ def eval_landmarks(model_file, pipeline, out, landmarks):
 @pytest.mark.parametrize("corrupt", [
     _text_lines(lambda ls: ls + ["5 1.0"]),
     _text_lines(lambda ls: ["5000 " + ls[0].split(maxsplit=1)[1]] + ls[1:]),
-], ids=["two_values", "index_5000"])
+    _text_lines(lambda ls: [ls[0].split()[0] + " nan 1.0"] + ls[1:]),
+], ids=["two_values", "index_5000", "nan_x"])
 def test_eval_corrupt_landmarks_names_file(tmp_path, model_file, pipeline,
                                            capsys, corrupt):
     bad = tmp_path / "lms.txt"
@@ -453,7 +467,7 @@ def test_train_has_no_iterations_flag(capsys):
     """Values a file records are not restated on the command line."""
     for sub, flags in (("train", ["--iterations"]),
                        ("reconstruct", ["--downsample"]),
-                       ("eval", ["--width", "--height"])):
+                       ("eval", ["--width", "--height", "--ridge"])):
         with pytest.raises(SystemExit):
             run(sub, "--help")
         out = capsys.readouterr().out

@@ -18,6 +18,16 @@ def test_bytes_roundtrip_bit_exact(small_model):
         assert np.array_equal(getattr(loaded, name), getattr(small_model, name))
 
 
+def test_split_bases_are_views_of_shape_basis(small_model):
+    loaded = model_from_bytes(model_to_bytes(small_model))
+    assert loaded.shape_basis.flags.f_contiguous     # column-major, as stored
+    for model in (small_model, loaded):
+        for part in (model.basis_id, model.basis_exp):
+            assert np.shares_memory(part, model.shape_basis)
+        assert np.array_equal(np.hstack([model.basis_id, model.basis_exp]),
+                              model.shape_basis)
+
+
 def test_file_roundtrip(tmp_path, small_model):
     path = tmp_path / "m.mfm"
     save_model(small_model, path)
@@ -55,7 +65,7 @@ def test_model_without_landmarks_roundtrips(small_model):
 
 
 def test_non_orthonormal_basis_rejected(small_model):
-    scaled = replace(small_model, basis_id=2.0 * small_model.basis_id)
+    scaled = replace(small_model, shape_basis=2.0 * small_model.shape_basis)
     with pytest.raises(ValueError, match="not orthonormal"):
         model_from_bytes(model_to_bytes(scaled))
 

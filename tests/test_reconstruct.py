@@ -157,6 +157,24 @@ def test_loop_masks_input_by_estimate(fit_model, corpus, cfg64):
     assert np.array_equal(seen[0], expected)
 
 
+def test_loop_renders_once_per_iterate(fit_model, corpus, cfg64, monkeypatch):
+    from synthface import reconstruct
+    renders = []
+
+    def counting_render(*args):
+        renders.append(args[0])
+        return render_shading_image(*args)
+
+    monkeypatch.setattr(reconstruct, "render_shading_image", counting_render)
+    s = corpus[0]
+    res = ief_reconstruct(s.face_image, s.pose, lambda f, a: a + 0.1,
+                          fit_model, cfg64)
+    assert len(renders) == cfg64.iterations + 1
+    assert renders[-1] is res.final_mesh
+    assert np.array_equal(res.final_mesh.vertices, synthesize_geometry(
+        fit_model, res.final_coefficients(fit_model)).vertices)
+
+
 def test_wrong_predictor_output_rejected(fit_model, corpus, cfg64):
     s = corpus[0]
     with pytest.raises(ValueError):
