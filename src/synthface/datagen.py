@@ -189,8 +189,9 @@ def _sample_files(i: int):
             f"sample_{i:06d}_coeffs.bin")
 
 
-def _generate_range(args):
-    master_seed, model, indices, out_dir, width, height = args
+def _generate_range(job, model=None):
+    master_seed, indices, out_dir, width, height = job
+    model = _worker_model if model is None else model
     for i in indices:
         sample = generate_sample(rng_for_sample(master_seed, i), model,
                                  width, height, sample_id=i)
@@ -198,7 +199,16 @@ def _generate_range(args):
         write_pgm(os.path.join(out_dir, face_f), sample.face_image)
         write_pgm(os.path.join(out_dir, shade_f), sample.shading_image)
         save_sample_coeffs(os.path.join(out_dir, coeff_f), sample)
-    return len(indices)
+
+
+# Set only in pool workers, as each starts.  A forked worker inherits the model
+# instead of unpickling it from its job, so the parent pickles no model.
+_worker_model = None
+
+
+def _init_worker(model) -> None:
+    global _worker_model
+    _worker_model = model
 
 
 def generate_dataset(master_seed: int,
@@ -217,13 +227,13 @@ def generate_dataset(master_seed: int,
 
     indices = list(range(count))
     if workers > 1:
-        chunks = [indices[k::workers] for k in range(workers)]
-        jobs = [(master_seed, model, chunk, out_dir, width, height)
-                for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        jobs = [(master_seed, indices[k::workers], out_dir, width, height)
+                for k in range(min(workers, count))]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(model,)) as pool:
             list(pool.map(_generate_range, jobs))
     else:
-        _generate_range((master_seed, model, indices, out_dir, width, height))
+        _generate_range((master_seed, indices, out_dir, width, height), model)
 
     entries = [(i, *_sample_files(i)) for i in indices]
     manifest = DatasetManifest(model_digest(model), count, width, height,
