@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the linear predictor on a dataset")
     p.add_argument("--model", required=True, help="MFM1 model file")
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="output PRD2 predictor file")
+    p.add_argument("--out", required=True, help="output PRD3 predictor file")
     p.add_argument("--ridge", type=float, default=defaults.RIDGE_LAMBDA,
                    help=f"ridge strength (default {defaults.RIDGE_LAMBDA})")
     p.add_argument("--downsample", type=int, default=defaults.FEATURE_DOWNSAMPLE,
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct",
                        help="iterative reconstruction of one image")
     p.add_argument("--model", required=True, help="MFM1 model file")
-    p.add_argument("--predictor", required=True, help="PRD2 predictor file")
+    p.add_argument("--predictor", required=True, help="PRD3 predictor file")
     p.add_argument("--image", required=True, help="input face image (PGM)")
     p.add_argument("--pose-file", required=True, dest="pose_file",
                    help="pose parameter text file")

@@ -2,10 +2,11 @@
 
 Layout (little-endian): magic ``MFM1``; u32 N, M, n_id, n_exp, n_tex; then
 float64 arrays mu_S, the shape basis [A_id | A_exp] (column-major, so A_id's
-columns and then A_exp's), mu_T, A_T (column-major); u32 triangle triples; optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices,
-which ends the file.  Round-trips are bit-exact.  Loading rejects a file
-whose shape basis ``[A_id | A_exp]`` is not orthonormal: the vertex-space
-loss, the ridge predictor and the landmark prior all rely on that.
+columns and then A_exp's), mu_T, A_T (column-major); u32 triangle triples;
+optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices, which ends
+the file.  Round-trips are bit-exact.  Loading rejects a file whose shape
+basis is not orthonormal: the vertex-space loss, the ridge predictor and the
+landmark prior all rely on that.
 """
 
 from __future__ import annotations
@@ -46,19 +47,19 @@ def model_from_bytes(data: bytes) -> MorphableModel:
     n, m, n_id, n_exp, n_tex = struct.unpack_from("<5I", data, off)
     off += 20
 
-    def read_f8(count, shape=None, order="C"):
+    def read_f8(count, shape=None):
         nonlocal off
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).copy()
         off += 8 * count
         if shape is not None:
-            arr = arr.reshape(shape, order=order)
+            arr = arr.reshape(shape, order="F")
         return arr
 
     mu_s = read_f8(3 * n)
     # kept column-major as read: its column views multiply as A_id and A_exp did
-    basis = read_f8(3 * n * (n_id + n_exp), (3 * n, n_id + n_exp), order="F")
+    basis = read_f8(3 * n * (n_id + n_exp), (3 * n, n_id + n_exp))
     mu_t = read_f8(3 * n)
-    a_tex = read_f8(3 * n * n_tex, (3 * n, n_tex), order="F")
+    a_tex = read_f8(3 * n * n_tex, (3 * n, n_tex))
     tris = np.frombuffer(data, dtype="<u4", count=3 * m, offset=off) \
         .copy().reshape(m, 3).astype(np.int64)
     off += 12 * m

@@ -6,7 +6,7 @@ coverage, and asks the predictor for updated coefficients.  It returns the
 sequence of coefficient estimates with the mesh and shading image of the
 last one.  The desk-scale predictor is a ridge-trained linear map on
 pooled-pixel features; anything with the same call signature plugs in
-unchanged.  Its PRD2 file records the image size, pooling factor and model
+unchanged.  Its PRD3 file records the image size, pooling factor and model
 it was trained for; the iteration count stays a run-time choice.
 """
 
@@ -45,7 +45,7 @@ class IEFConfig:
     def feature_dim(self) -> int:
         blocks = (self.width // self.feature_downsample) \
             * (self.height // self.feature_downsample)
-        return 2 * blocks + 1
+        return 2 * blocks
 
 
 @dataclass
@@ -65,7 +65,7 @@ def _block_mean(img: np.ndarray, k: int) -> np.ndarray:
 
 def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
                      config: IEFConfig) -> np.ndarray:
-    """Block-averaged pixels of both channels plus a trailing constant 1."""
+    """Block-averaged pixels of the face channel, then of the shading channel."""
     expected = (config.height, config.width)
     if face_image.shape != expected or shading_image.shape != expected:
         raise ValueError(
@@ -73,8 +73,7 @@ def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
             f"config {expected}")
     k = config.feature_downsample
     return np.concatenate([_block_mean(face_image, k),
-                           _block_mean(shading_image, k),
-                           [1.0]])
+                           _block_mean(shading_image, k)])
 
 
 @dataclass
@@ -117,22 +116,14 @@ def train_linear_predictor(samples,
         raise ValueError("training set is empty")
     if ridge_lambda <= 0:
         raise ValueError("ridge_lambda must be > 0")
-    n_coeffs = model.n_id + model.n_exp
-    n_in = config.feature_dim + n_coeffs
-
-    x = np.empty((len(samples), n_in + 1))       # trailing column trains the bias
-    y = np.empty((len(samples), n_coeffs))
-    for r, s in enumerate(samples):
-        feats = extract_features(s.face_image, s.shading_image, config)
-        x[r, :config.feature_dim] = feats
-        x[r, config.feature_dim:n_in] = s.alpha_t.vector
-        x[r, n_in] = 1.0
-        y[r] = s.alpha_gt.vector
-
-    xtx = x.T @ x
-    xty = x.T @ y
-    params = np.linalg.solve(xtx + ridge_lambda * np.eye(n_in + 1), xty).T
-    return LinearPredictor(params[:, :n_in], params[:, n_in], config.width,
+    # the trailing all-ones column trains the bias, the only intercept
+    x = np.stack([np.concatenate([
+        extract_features(s.face_image, s.shading_image, config),
+        s.alpha_t.vector, [1.0]]) for s in samples])
+    y = np.stack([s.alpha_gt.vector for s in samples])
+    params = np.linalg.solve(x.T @ x + ridge_lambda * np.eye(x.shape[1]),
+                             x.T @ y).T
+    return LinearPredictor(params[:, :-1], params[:, -1], config.width,
                            config.height, config.feature_downsample,
                            model_digest(model))
 
@@ -172,10 +163,11 @@ def ief_reconstruct(face_image: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# PRD2 predictor file: magic, u32 width, height, feature_downsample, n_coeffs,
-# the 32-byte model digest, then float64 weight (row-major) and bias
+# PRD3 predictor file: magic, u32 width, height, feature_downsample, n_coeffs,
+# the 32-byte model digest, then float64 weight (row-major) and bias.  PRD2
+# had the same header and one more weight column for a constant feature.
 
-PREDICTOR_MAGIC = b"PRD2"
+PREDICTOR_MAGIC = b"PRD3"
 HEADER = struct.Struct("<4s4I32s")
 
 
@@ -193,7 +185,8 @@ def load_predictor(path) -> LinearPredictor:
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != PREDICTOR_MAGIC:
-        raise ValueError(f"bad predictor magic {data[:4]!r}")
+        raise ValueError(f"bad predictor magic {data[:4]!r}, expected "
+                         f"{PREDICTOR_MAGIC!r}")
     _, width, height, k, n_coeffs, digest = HEADER.unpack_from(data)
     n_in = IEFConfig(1, width, height, k).feature_dim + n_coeffs
     expected = HEADER.size + 8 * (n_coeffs * n_in + n_coeffs)

@@ -179,7 +179,7 @@ def test_train_missing_sample_file_names_manifest(tmp_path, model_file, pipeline
 
 def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys):
     # 12 coefficients and another model's digest; the model file has 15
-    wrong = LinearPredictor(np.zeros((12, 129 + 12)), np.zeros(12), 64, 64, 8,
+    wrong = LinearPredictor(np.zeros((12, 128 + 12)), np.zeros(12), 64, 64, 8,
                             "0" * 64)
     ppath = tmp_path / "wrong.prd"
     save_predictor(ppath, wrong)
@@ -265,12 +265,25 @@ def test_eval_reads_image_size_from_pose(tmp_path, model_file, pipeline):
                                   (report.mean, report.median, report.rms)]
 
 
+def _parent_layout(data):
+    """The same predictor as a PRD2 file: a zero weight for its constant feature."""
+    header = struct.Struct("<4s4I32s")
+    _, width, height, k, n_coeffs, _ = header.unpack_from(data)
+    n_in = 2 * (width // k) * (height // k) + n_coeffs
+    values = np.frombuffer(data, dtype="<f8", offset=header.size)
+    weight = np.insert(values[:n_coeffs * n_in].reshape(n_coeffs, n_in),
+                       n_in - n_coeffs, 0.0, axis=1)
+    return (b"PRD2" + data[4:header.size] + weight.tobytes()
+            + values[n_coeffs * n_in:].tobytes())
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda data: data[:100],
     lambda data: data[:6],
     lambda data: data + b"\x00" * 8,
     _nan_at(52),                        # the first weight, after the header
-], ids=["truncated", "short", "trailing", "nan_weight"])
+    _parent_layout,
+], ids=["truncated", "short", "trailing", "nan_weight", "parent_layout"])
 def test_reconstruct_corrupt_predictor_names_file(tmp_path, model_file, pipeline,
                                                   capsys, corrupt):
     bad = tmp_path / "corrupt.prd"

@@ -73,7 +73,7 @@ def valid_files(tmp_path_factory):
     model = build_procedural_model(1, 3, 2, 2, 9)
     sample = generate_sample(np.random.default_rng(3), model, 16, 16)
     save_model(model, root / "m.mfm")
-    save_predictor(root / "p.prd", LinearPredictor(np.ones((2, 5)), np.ones(2),
+    save_predictor(root / "p.prd", LinearPredictor(np.ones((2, 4)), np.ones(2),
                                                    4, 4, 4, model_digest(model)))
     save_coeff_vector(root / "v.bin", sample.alpha_gt.vector)
     save_sample_coeffs(root / "s.bin", sample)
@@ -81,14 +81,14 @@ def valid_files(tmp_path_factory):
     # cutting off exactly the optional landmark trailer leaves a valid model
     trailer = (root / "m.mfm").read_bytes().rfind(LANDMARK_MAGIC)
     return {"mfm1": (root / "m.mfm", load_model, {trailer}),
-            "prd2": (root / "p.prd", load_predictor, set()),
+            "prd3": (root / "p.prd", load_predictor, set()),
             "coeff_vector": (root / "v.bin", load_coeff_vector, set()),
             "sample_coeffs": (root / "s.bin",
                               lambda path: load_sample_coeffs(path, model.n_id), set()),
             "pgm": (root / "f.pgm", read_pgm, set())}
 
 
-@pytest.mark.parametrize("name", ["mfm1", "prd2", "coeff_vector",
+@pytest.mark.parametrize("name", ["mfm1", "prd3", "coeff_vector",
                                   "sample_coeffs", "pgm"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())

@@ -34,7 +34,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IEFConfig(feature_downsample=0)
     assert IEFConfig(width=200, height=200, feature_downsample=8).feature_dim \
-        == 2 * 25 * 25 + 1
+        == 2 * 25 * 25
 
 
 def test_features_constant_image(cfg64):
@@ -42,10 +42,9 @@ def test_features_constant_image(cfg64):
     shading = np.full((64, 64), 0.75)
     f = extract_features(face, shading, cfg64)
     blocks = (64 // 8) ** 2
-    assert f.shape == (2 * blocks + 1,)
+    assert f.shape == (2 * blocks,)      # pooled values only, no constant
     assert np.allclose(f[:blocks], 0.25)
-    assert np.allclose(f[blocks:-1], 0.75)
-    assert f[-1] == 1.0
+    assert np.allclose(f[blocks:], 0.75)
 
 
 def test_features_checkerboard(cfg64):
@@ -186,8 +185,8 @@ def test_wrong_predictor_output_rejected(fit_model, corpus, cfg64):
 # Predictor file format
 
 def test_predictor_roundtrip_bit_exact(tmp_path, rng, small_model):
-    # 16x8 pooled by 4: 2 * 4 * 2 + 1 = 17 features
-    pred = LinearPredictor(rng.standard_normal((12, 17 + 12)),
+    # 16x8 pooled by 4: 2 * 4 * 2 = 16 features
+    pred = LinearPredictor(rng.standard_normal((12, 16 + 12)),
                            rng.standard_normal(12), 16, 8, 4,
                            model_digest(small_model))
     path = tmp_path / "p.prd"
