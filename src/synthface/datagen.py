@@ -80,12 +80,13 @@ def generate_sample(rng: np.random.Generator,
     # the Phong-shaded face does not depend on the pose: only rasterize retries
     mesh_gt = synthesize_geometry(model, alpha_gt)
     albedo = np.clip(synthesize_texture(model, tcoeffs), 0.0, 1.0)
-    face_colors = phong_shade(albedo, compute_vertex_normals(mesh_gt), lighting)
+    # luminance is linear, so its raster is the RGB raster's luminance to the ulp
+    face_gray = luminance(phong_shade(albedo, compute_vertex_normals(mesh_gt), lighting))
     mesh_t = synthesize_geometry(model, alpha_t)
 
     for _ in range(MAX_POSE_RETRIES):
         pose = sample_pose(rng, f0, fw)
-        face_raster = rasterize(mesh_gt, face_colors, pose, width, height)
+        face_raster = rasterize(mesh_gt, face_gray, pose, width, height)
         shading_raster = render_shading_image(mesh_t, pose, width, height)
         if face_raster.mask.any() and shading_raster.mask.any():
             break
@@ -93,10 +94,10 @@ def generate_sample(rng: np.random.Generator,
         raise RuntimeError(
             f"no non-degenerate pose found in {MAX_POSE_RETRIES} attempts")
 
-    face_gray = quantize(luminance(face_raster.image))
-    face_gray[~shading_raster.mask] = 0.0
+    face = quantize(face_raster.image)
+    face[~shading_raster.mask] = 0.0
     shading = quantize(shading_raster.image)
-    return TrainingSample(face_gray, shading, alpha_t, alpha_gt,
+    return TrainingSample(face, shading, alpha_t, alpha_gt,
                           pose, lighting, sample_id)
 
 

@@ -12,7 +12,6 @@ landmark prior all rely on that.
 from __future__ import annotations
 
 import hashlib
-import io
 import struct
 
 import numpy as np
@@ -24,20 +23,18 @@ MAGIC = b"MFM1"
 LANDMARK_MAGIC = b"LMK1"
 
 
-def model_to_bytes(model: MorphableModel) -> bytes:
-    buf = io.BytesIO()
-    n = model.n_vertices
-    m = model.triangles.shape[0]
-    buf.write(MAGIC)
-    buf.write(struct.pack("<5I", n, m, model.n_id, model.n_exp, model.n_tex))
+def model_chunks(model: MorphableModel):
+    """The MFM1 file of `model` as consecutive buffers; an array already in file
+    order is passed as is, not copied."""
+    yield MAGIC + struct.pack("<5I", model.n_vertices, model.triangles.shape[0],
+                              model.n_id, model.n_exp, model.n_tex)
     for arr in (model.mu_shape, model.shape_basis, model.mu_tex, model.basis_tex):
-        buf.write(np.asarray(arr, dtype="<f8").tobytes(order="F"))
-    buf.write(model.triangles.astype("<u4").tobytes())
+        # column-major bytes of `arr` are the row-major bytes of its transpose
+        yield np.ascontiguousarray(arr.T, dtype="<f8")
+    yield np.ascontiguousarray(model.triangles, dtype="<u4")
     if model.landmark_indices is not None:
-        buf.write(LANDMARK_MAGIC)
-        buf.write(struct.pack("<I", model.landmark_indices.shape[0]))
-        buf.write(model.landmark_indices.astype("<u4").tobytes())
-    return buf.getvalue()
+        yield LANDMARK_MAGIC + struct.pack("<I", model.landmark_indices.shape[0])
+        yield np.ascontiguousarray(model.landmark_indices, dtype="<u4")
 
 
 def model_from_bytes(data: bytes) -> MorphableModel:
@@ -83,7 +80,7 @@ def model_from_bytes(data: bytes) -> MorphableModel:
 
 def save_model(model: MorphableModel, path) -> None:
     with open(path, "wb") as f:
-        f.write(model_to_bytes(model))
+        f.writelines(model_chunks(model))
 
 
 @names_file
@@ -95,7 +92,10 @@ def load_model(path) -> MorphableModel:
 def model_digest(model: MorphableModel) -> str:
     """SHA-256 hex digest of the serialized model, computed once per model."""
     if "digest" not in model._cache:
-        model._cache["digest"] = hashlib.sha256(model_to_bytes(model)).hexdigest()
+        h = hashlib.sha256()
+        for chunk in model_chunks(model):
+            h.update(chunk)
+        model._cache["digest"] = h.hexdigest()
     return model._cache["digest"]
 
 

@@ -7,7 +7,7 @@ Conventions:
   - meshes face +z, so the depth test keeps the LARGEST rotated z
   - top-left fill rule on shared triangle edges
   - each triangle row tests only the span between its edge crossings, and
-    only pixels that several fragments hit are sorted by depth
+    each pixel keeps its largest depth, ties to the lowest triangle id
 Shading is Gouraud style: Phong evaluated per vertex, colors interpolated.
 """
 
@@ -90,9 +90,8 @@ def compute_vertex_normals(mesh: Mesh) -> np.ndarray:
     """Area-weighted vertex normals; (0,0,1) fallback for degenerate vertices."""
     v = mesh.vertices
     t = mesh.triangles
-    e1 = v[t[:, 1]] - v[t[:, 0]]
-    e2 = v[t[:, 2]] - v[t[:, 0]]
-    face_n = np.cross(e1, e2)       # magnitude = 2 * area
+    corner = v.take(t.T, axis=0)    # (3, M, 3): one contiguous block per corner
+    face_n = np.cross(corner[1] - corner[0], corner[2] - corner[0])   # |n| = 2 area
     # each vertex sums its faces corner by corner, in the order of t.T.ravel()
     acc = np.stack([np.bincount(t.T.reshape(-1), weights=np.tile(face_n[:, c], 3),
                                 minlength=v.shape[0]) for c in range(3)], axis=1)
@@ -187,19 +186,19 @@ def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
     pix = iy.take(rc[inside]) * width + ix[inside]
     frag_depth = np.einsum("fk,fk->f", bary, depths.take(tri))
 
-    # resolve: a pixel hit once takes its fragment; where fragments collide
-    # keep the largest depth, ties to the lowest triangle id
-    hits = np.bincount(pix).take(pix)
-    multi = np.nonzero(hits > 1)[0]
-    order = multi.take(np.lexsort(
-        (-rep.take(multi), frag_depth.take(multi), pix.take(multi))))
-    win = np.concatenate([np.nonzero(hits == 1)[0],
-                          order[np.nonzero(np.diff(pix.take(order), append=-1))[0]]])
+    # resolve: each pixel keeps its largest depth (-0.0 ties 0.0; the winner then
+    # writes its own), then its lowest fragment index, which has the lowest
+    # triangle id because fragments come triangle by triangle (rep ascends)
+    depth = np.full(height * width, -np.inf)
+    np.maximum.at(depth, pix, frag_depth)
+    cand = np.nonzero(frag_depth == depth.take(pix))[0]
+    first = np.full(height * width, pix.size)
+    np.minimum.at(first, pix.take(cand), cand)
+    win = cand[first.take(pix.take(cand)) == cand]
     win_pix = pix.take(win)
 
     image = np.zeros((height * width, channels))
     mask = np.zeros(height * width, dtype=bool)
-    depth = np.full(height * width, -np.inf)
     image[win_pix] = np.einsum("fk,fkc->fc", bary.take(win, axis=0),
                                cols.take(tri.take(win, axis=0), axis=0))
     mask[win_pix] = True

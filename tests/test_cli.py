@@ -18,7 +18,7 @@ from synthface.evaluate import (landmark_fit, load_landmarks,
 from synthface.image_io import write_pgm
 from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import GeometryCoefficients, synthesize_geometry
-from synthface.model_io import load_model, model_from_bytes, model_to_bytes
+from synthface.model_io import load_model, model_chunks, model_from_bytes
 from synthface.reconstruct import LinearPredictor, save_predictor
 from synthface.render import render_shading_image
 from synthface.datagen import generate_sample, rng_for_sample
@@ -126,7 +126,7 @@ def test_datagen_rejects_bad_size_before_writing(tmp_path, model_file, capsys,
 
 def _non_orthonormal(data):
     model = model_from_bytes(data)
-    return model_to_bytes(replace(model, shape_basis=2.0 * model.shape_basis))
+    return b"".join(model_chunks(replace(model, shape_basis=2.0 * model.shape_basis)))
 
 
 def _nan_at(offset):

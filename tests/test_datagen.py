@@ -9,9 +9,13 @@ from synthface.datagen import (generate_dataset, generate_sample,
                                load_sample_coeffs, rng_for_sample,
                                sample_intermediate, save_coeff_vector,
                                save_sample_coeffs)
-from synthface.model import GeometryCoefficients, sample_geometry_coefficients
-from synthface.render import render_shading_image
-from synthface.model import synthesize_geometry
+from synthface.image_io import quantize
+from synthface.model import (GeometryCoefficients, build_procedural_model,
+                             sample_geometry_coefficients,
+                             sample_texture_coefficients, synthesize_geometry,
+                             synthesize_texture)
+from synthface.render import (compute_vertex_normals, luminance, phong_shade,
+                              rasterize, render_shading_image)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +58,33 @@ def test_face_masked_by_shading_mask(small_model):
         synthesize_geometry(small_model, s.alpha_t), s.pose, 64, 64)
     assert not np.any(s.face_image[~shading_raster.mask])
     assert not np.any(s.shading_image[~shading_raster.mask])
+
+
+@pytest.fixture(scope="module")
+def paper_model():
+    return build_procedural_model(1)
+
+
+@pytest.mark.parametrize("model_name, size, index", [
+    *[("small_model", 64, i) for i in range(17)],
+    *[("paper_model", 200, i) for i in range(3)],
+])
+def test_face_image_is_luminance_of_rgb_raster(model_name, size, index, request):
+    # the face is rasterized in luminance; its bytes must equal those of the
+    # RGB raster's luminance, masked by the intermediate geometry's coverage
+    model = request.getfixturevalue(model_name)
+    s = generate_sample(rng_for_sample(3, index), model, size, size)
+    rng = rng_for_sample(3, index)
+    sample_geometry_coefficients(rng, model)
+    tcoeffs = sample_texture_coefficients(rng, model)
+    mesh_gt = synthesize_geometry(model, s.alpha_gt)
+    albedo = np.clip(synthesize_texture(model, tcoeffs), 0.0, 1.0)
+    rgb = phong_shade(albedo, compute_vertex_normals(mesh_gt), s.lighting)
+    expected = quantize(luminance(rasterize(mesh_gt, rgb, s.pose, size, size).image))
+    expected[~render_shading_image(synthesize_geometry(model, s.alpha_t),
+                                   s.pose, size, size).mask] = 0.0
+    assert expected.any()
+    assert s.face_image.tobytes() == expected.tobytes()
 
 
 def test_images_are_quantized(small_model):

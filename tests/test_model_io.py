@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -5,8 +6,12 @@ import numpy as np
 import pytest
 
 from synthface import model_io
-from synthface.model_io import (load_model, model_digest, model_from_bytes,
-                                model_to_bytes, save_model)
+from synthface.model_io import (load_model, model_chunks, model_digest,
+                                model_from_bytes, save_model)
+
+
+def model_to_bytes(model):
+    return b"".join(model_chunks(model))
 
 
 def test_bytes_roundtrip_bit_exact(small_model):
@@ -31,8 +36,11 @@ def test_split_bases_are_views_of_shape_basis(small_model):
 def test_file_roundtrip(tmp_path, small_model):
     path = tmp_path / "m.mfm"
     save_model(small_model, path)
+    assert path.read_bytes() == model_to_bytes(small_model)
     loaded = load_model(path)
-    assert model_digest(loaded) == model_digest(small_model)
+    # the digest hashes the file's bytes, whatever the arrays' memory order
+    assert model_digest(loaded) == model_digest(small_model) \
+        == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_digest_is_stable_and_discriminating(small_model, fit_model):
@@ -87,11 +95,11 @@ def test_digest_serializes_once_per_model(small_model, monkeypatch):
     model = replace(small_model)            # a fresh cache
     calls = []
 
-    def counting_to_bytes(m):
+    def counting_chunks(m):
         calls.append(m)
-        return model_to_bytes(m)
+        return model_chunks(m)
 
-    monkeypatch.setattr(model_io, "model_to_bytes", counting_to_bytes)
+    monkeypatch.setattr(model_io, "model_chunks", counting_chunks)
     first = model_digest(model)
     assert model_digest(model) == first and len(calls) == 1
     changed = replace(model, basis_tex=-model.basis_tex)

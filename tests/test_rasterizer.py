@@ -256,3 +256,57 @@ def test_matches_reference_on_quarter_pixel_grid(data):
     mesh = pixel_mesh([pool[i] for t in triangles for i in t], width, height,
                       np.repeat(levels, 3) / 4.0, np.arange(n).reshape(-1, 3))
     assert_matches_reference(mesh, colors, width, height)
+
+
+# Contested pixels: several fragments hit one pixel and the depth resolve
+# picks the winner.  Each triangle has its own three vertices, so identical
+# triangles give bit-identical fragment depths.
+
+def test_duplicates_on_one_pixel_keep_lowest_id_at_largest_depth():
+    width, height = 10, 8
+    cells = [(4.2, 4.2), (5.0, 4.2), (4.2, 5.0)]      # covers pixel (4, 4) alone
+    levels = [0.25, 0.75, 0.75, 0.75, 0.75, 0.5]        # ids 1-4 tie in front
+    mesh = pixel_mesh(cells * len(levels), width, height, np.repeat(levels, 3),
+                      np.arange(3 * len(levels)).reshape(-1, 3))
+    colors = np.repeat(np.linspace(0.1, 0.6, len(levels)), 3)
+    got = assert_matches_reference(mesh, colors, width, height)
+    assert list(zip(*np.nonzero(got.mask))) == [(4, 4)]
+    assert got.image[4, 4] == pytest.approx(colors[3 * 1])
+
+
+@pytest.mark.parametrize("signs", [(-0.0, 0.0), (0.0, -0.0)], ids=["neg_first", "pos_first"])
+def test_signed_zero_depths_tie_to_lowest_id(signs):
+    # vertex depths -0.0 and +0.0 compare equal: the lower id wins either way
+    width, height = 16, 12
+    cells = [(1.5, 0.5), (14.0, 3.25), (4.75, 11.5)] * 2
+    mesh = pixel_mesh(cells, width, height, np.repeat(signs, 3),
+                      [(0, 1, 2), (3, 4, 5)])
+    colors = np.repeat([0.25, 0.75], 3)
+    got = assert_matches_reference(mesh, colors, width, height)
+    ref_depth = reference_rasterize(mesh, colors, PoseParams.identity(), width, height)[2]
+    assert got.mask.sum() > 20
+    assert np.all(got.image[got.mask] == pytest.approx(0.25))
+    assert np.array_equal(np.signbit(got.depth), np.signbit(ref_depth))
+
+
+@pytest.mark.parametrize("zero_ties", [False, True], ids=["folded", "zero_ties"])
+def test_folded_mesh_matches_reference(zero_ties):
+    # 400 triangles over a pool of 150 random vertices fold over each other so
+    # that most covered pixels are contested; with zero_ties, two thirds of the
+    # triangles lie flat at depth +-0.0 and tie exactly wherever they overlap
+    width, height = 40, 32
+    rng = np.random.default_rng(11)
+    pool = rng.uniform((-4.0, -4.0), (width + 4.0, height + 4.0), size=(150, 2))
+    pool_depth = rng.standard_normal(150)
+    tris = rng.integers(0, 150, size=(400, 3))
+    depths = pool_depth[tris]
+    if zero_ties:
+        flat = np.arange(400) % 3 != 0
+        depths[flat] = rng.choice([-0.0, 0.0], size=(int(flat.sum()), 1))
+    mesh = pixel_mesh(pool[tris.reshape(-1)], width, height, depths.reshape(-1),
+                      np.arange(1200).reshape(-1, 3))
+    hits = sum(rasterize(Mesh(mesh.vertices, t[None]), np.zeros(1200),
+                         PoseParams.identity(), width, height).mask.astype(int)
+               for t in mesh.triangles)
+    assert (hits > 1).sum() > 0.5 * (hits > 0).sum()
+    assert_matches_reference(mesh, rng.uniform(size=(1200, 3)), width, height)

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Run the README walkthrough, a 200x200 datagen and `synthface defaults` with
-# the synthface package and demos of the checkout SRC_DIR, writing into OUT_DIR
+# Run the README walkthrough, two 200x200 datagens (with the walkthrough's
+# model and with the default paper-size one) and `synthface defaults` with the
+# synthface package and demos of the checkout SRC_DIR, writing into OUT_DIR
 # (which must not exist yet), then print one "sha256  path" line for every
 # file written.
 # The stdout of `eval` and of `defaults` is saved as eval.stdout and
@@ -29,6 +30,11 @@ synthface datagen --model model.mfm --out data --seed 0 --count 300 \
 # shows too
 synthface datagen --model model.mfm --out data200 --seed 0 --count 20 \
     --width 200 --height 200 > /dev/null
+# the paper-size default model, whose faces fold over themselves at 200x200,
+# so that the depth resolve of contested pixels shows too
+synthface model-gen --out model_default.mfm > /dev/null
+synthface datagen --model model_default.mfm --out data_default200 --seed 0 \
+    --count 20 --width 200 --height 200 > /dev/null
 python3 "$src/demos/make_eval_inputs.py" --model model.mfm --out eval_inputs \
     --seed 123 --width 64 --height 64 > /dev/null
 synthface train --model model.mfm --dataset data --out predictor.prd \
