@@ -271,12 +271,12 @@ def test_duplicates_on_one_pixel_keep_lowest_id_at_largest_depth():
     colors = np.repeat(np.linspace(0.1, 0.6, len(levels)), 3)
     got = assert_matches_reference(mesh, colors, width, height)
     assert list(zip(*np.nonzero(got.mask))) == [(4, 4)]
-    assert got.image[4, 4] == pytest.approx(colors[3 * 1])
+    assert got.image[4, 4] == pytest.approx(colors[3])     # id 1's colour
 
 
 @pytest.mark.parametrize("signs", [(-0.0, 0.0), (0.0, -0.0)], ids=["neg_first", "pos_first"])
 def test_signed_zero_depths_tie_to_lowest_id(signs):
-    # vertex depths -0.0 and +0.0 compare equal: the lower id wins either way
+    # vertex depths of -0.0 and +0.0 tie: the lower id wins whichever sign it has
     width, height = 16, 12
     cells = [(1.5, 0.5), (14.0, 3.25), (4.75, 11.5)] * 2
     mesh = pixel_mesh(cells, width, height, np.repeat(signs, 3),
