@@ -297,12 +297,14 @@ def build_procedural_model(seed: int,
 
     landmarks = _nearest_unique_vertices(np.stack([u, v], axis=1), layout)
 
+    # column-major, as MFM1 stores and loads them, so that a built model and
+    # its file round-trip multiply bit-identically
     return MorphableModel(
         mu_shape=verts.reshape(-1),
-        shape_basis=shape_basis,
+        shape_basis=np.asfortranarray(shape_basis),
         n_id=n_id,
         mu_tex=mu_tex.reshape(-1),
-        basis_tex=tex_basis,
+        basis_tex=np.asfortranarray(tex_basis),
         triangles=tris,
         landmark_indices=landmarks,
     )

@@ -110,19 +110,26 @@ def train_linear_predictor(samples,
     The loss is measured in vertex space through the shape basis.  Every
     model `model_io` loads has an orthonormal shape basis, so that loss equals
     the coefficient-space loss and plain ridge regression minimizes it.
+
+    With fewer samples n than inputs d the same weights come from the n x n
+    system, by (XᵀX + λI)⁻¹Xᵀ = Xᵀ(XXᵀ + λI)⁻¹ (ridge in dual variables,
+    Saunders, Gammerman & Vovk, ICML 1998); otherwise from the d x d one.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("training set is empty")
-    if ridge_lambda <= 0:
-        raise ValueError("ridge_lambda must be > 0")
+    if not (np.isfinite(ridge_lambda) and ridge_lambda > 0):
+        raise ValueError(f"ridge_lambda must be finite and > 0, got {ridge_lambda}")
     # the trailing all-ones column trains the bias, the only intercept
     x = np.stack([np.concatenate([
         extract_features(s.face_image, s.shading_image, config),
         s.alpha_t.vector, [1.0]]) for s in samples])
     y = np.stack([s.alpha_gt.vector for s in samples])
-    params = np.linalg.solve(x.T @ x + ridge_lambda * np.eye(x.shape[1]),
-                             x.T @ y).T
+    n, d = x.shape
+    if n < d:
+        params = (x.T @ np.linalg.solve(x @ x.T + ridge_lambda * np.eye(n), y)).T
+    else:
+        params = np.linalg.solve(x.T @ x + ridge_lambda * np.eye(d), x.T @ y).T
     return LinearPredictor(params[:, :-1], params[:, -1], config.width,
                            config.height, config.feature_downsample,
                            model_digest(model))

@@ -177,6 +177,18 @@ def test_train_missing_sample_file_names_manifest(tmp_path, model_file, pipeline
     assert_one_line_error(capsys, data / "manifest.txt")
 
 
+@pytest.mark.parametrize("ridge", ["nan", "inf", "0"])
+def test_train_rejects_bad_ridge_before_writing(tmp_path, model_file, pipeline,
+                                                capsys, ridge):
+    out = tmp_path / "p.prd"
+    rc = run("train", "--model", model_file, "--dataset", pipeline / "data",
+             "--out", out, "--ridge", ridge)
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: ridge_lambda must be finite and > 0, got {float(ridge)}\n"
+    assert not out.exists()
+
+
 def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys):
     # 12 coefficients and another model's digest; the model file has 15
     wrong = LinearPredictor(np.zeros((12, 128 + 12)), np.zeros(12), 64, 64, 8,

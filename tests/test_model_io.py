@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from synthface import model_io
+from synthface.model import (sample_geometry_coefficients,
+                             sample_texture_coefficients, synthesize_geometry,
+                             synthesize_texture)
 from synthface.model_io import (load_model, model_chunks, model_digest,
                                 model_from_bytes, save_model)
 
@@ -31,6 +34,22 @@ def test_split_bases_are_views_of_shape_basis(small_model):
             assert np.shares_memory(part, model.shape_basis)
         assert np.array_equal(np.hstack([model.basis_id, model.basis_exp]),
                               model.shape_basis)
+
+
+def test_built_and_loaded_models_synthesize_bit_identically(small_model, fit_model):
+    rng = np.random.default_rng(3)
+    for built in (small_model, fit_model):
+        loaded = model_from_bytes(model_to_bytes(built))
+        for model in (built, loaded):
+            assert model.shape_basis.flags.f_contiguous
+            assert model.basis_tex.flags.f_contiguous
+        for _ in range(20):
+            geo = sample_geometry_coefficients(rng, built)
+            tex = sample_texture_coefficients(rng, built)
+            assert synthesize_geometry(built, geo).vertices.tobytes() \
+                == synthesize_geometry(loaded, geo).vertices.tobytes()
+            assert synthesize_texture(built, tex).tobytes() \
+                == synthesize_texture(loaded, tex).tobytes()
 
 
 def test_file_roundtrip(tmp_path, small_model):

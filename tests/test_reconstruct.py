@@ -104,11 +104,46 @@ def test_training_beats_zero_predictor(fit_model, corpus, cfg64):
     assert total < zero_total
 
 
-def test_training_input_validation(fit_model, cfg64):
-    with pytest.raises(ValueError):
+def test_training_input_validation(fit_model, corpus, cfg64):
+    with pytest.raises(ValueError, match="training set is empty"):
         train_linear_predictor([], fit_model, cfg64)
-    with pytest.raises(ValueError):
-        train_linear_predictor([], fit_model, cfg64, ridge_lambda=0.0)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="ridge_lambda must be finite and > 0"):
+            train_linear_predictor(corpus[:5], fit_model, cfg64, ridge_lambda=lam)
+
+
+def _design(samples, cfg):
+    x = np.stack([np.concatenate([
+        extract_features(s.face_image, s.shading_image, cfg),
+        s.alpha_t.vector, [1.0]]) for s in samples])
+    return x, np.stack([s.alpha_gt.vector for s in samples])
+
+
+def test_fewer_samples_than_inputs_matches_lstsq(fit_model, corpus, cfg64):
+    lam = 0.1
+    x, y = _design(corpus[:40], cfg64)
+    n, d = x.shape
+    assert n < d == cfg64.feature_dim + 40 + 1
+    # ridge as least squares on [X; sqrt(lam) I], the bias penalised too
+    ref = np.linalg.lstsq(np.vstack([x, np.sqrt(lam) * np.eye(d)]),
+                          np.vstack([y, np.zeros((d, y.shape[1]))]),
+                          rcond=None)[0].T
+    pred = train_linear_predictor(corpus[:40], fit_model, cfg64, ridge_lambda=lam)
+    got = np.column_stack([pred.weight, pred.bias])
+    # relative to the largest weight: inputs that are zero in every sample
+    # (pixels no face covers) get weights of 0 here and ~1e-17 from lstsq
+    assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_at_least_as_many_samples_as_inputs_solves_normal_equations(
+        fit_model, corpus, cfg64):
+    lam = 0.1
+    x, y = _design(corpus, cfg64)
+    assert x.shape[0] >= x.shape[1]
+    params = np.linalg.solve(x.T @ x + lam * np.eye(x.shape[1]), x.T @ y).T
+    pred = train_linear_predictor(corpus, fit_model, cfg64, ridge_lambda=lam)
+    assert pred.weight.tobytes() == params[:, :-1].tobytes()
+    assert pred.bias.tobytes() == params[:, -1].tobytes()
 
 
 # ---------------------------------------------------------------------------

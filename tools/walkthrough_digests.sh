@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run the README walkthrough, two 200x200 datagens (with the walkthrough's
-# model and with the default paper-size one) and `synthface defaults` with the
-# synthface package and demos of the checkout SRC_DIR, writing into OUT_DIR
-# (which must not exist yet), then print one "sha256  path" line for every
-# file written.
+# model and with the default paper-size one), a training on the first of them
+# and `synthface defaults` with the synthface package and demos of the
+# checkout SRC_DIR, writing into OUT_DIR (which must not exist yet), then
+# print one "sha256  path" line for every file written.
 # The stdout of `eval` and of `defaults` is saved as eval.stdout and
 # defaults.stdout, so it is covered too.  BLAS and OpenMP run one thread each.
 #
@@ -38,6 +38,10 @@ synthface datagen --model model_default.mfm --out data_default200 --seed 0 \
 python3 "$src/demos/make_eval_inputs.py" --model model.mfm --out eval_inputs \
     --seed 123 --width 64 --height 64 > /dev/null
 synthface train --model model.mfm --dataset data --out predictor.prd \
+    --ridge 1.0 > /dev/null
+# 20 samples against 1,291 inputs at 200x200: the ridge solve with fewer
+# samples than inputs, which the 300-sample 64x64 training above does not reach
+synthface train --model model.mfm --dataset data200 --out predictor200.prd \
     --ridge 1.0 > /dev/null
 synthface reconstruct --model model.mfm --predictor predictor.prd \
     --image eval_inputs/face.pgm --pose-file eval_inputs/pose.txt \
