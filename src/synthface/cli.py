@@ -4,8 +4,9 @@ Subcommands: model-gen, datagen, train, reconstruct, eval, defaults.
 Every seeded command is bytewise reproducible; all subcommands exit 0 on
 success and nonzero with a one-line diagnostic on failure.  Every malformed
 input file ends in ``error: <file>: <reason>`` and exit 1 (`image_io.names_file`).
-`reconstruct` takes image size and pooling from the predictor and rejects an
-image, pose or model other than its own; `eval` takes the size from the pose.
+`reconstruct` takes the image size from the predictor and rejects an image,
+pose or model other than its own; `eval` takes the size from the pose.
+Pooling and the iteration count are fixed (`defaults`), not options.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import (GeometryCoefficients, build_procedural_model,
                     synthesize_geometry)
 from .model_io import check_coeffs, check_model, load_model, save_model
 from .reconstruct import (IEFConfig, ief_reconstruct, load_predictor,
-                          save_predictor, train_linear_predictor)
+                          pooled_config, save_predictor, train_linear_predictor)
 
 
 def _cmd_model_gen(args) -> int:
@@ -52,7 +53,7 @@ def _cmd_train(args) -> int:
     model = load_model(args.model)
     samples = load_dataset(args.dataset, model)
     h, w = samples[0].face_image.shape
-    config = IEFConfig(width=w, height=h, feature_downsample=args.downsample)
+    config = pooled_config(os.path.join(args.dataset, "manifest.txt"), w, h)
     predictor = train_linear_predictor(samples, model, config,
                                        ridge_lambda=args.ridge)
     save_predictor(args.out, predictor)
@@ -71,8 +72,7 @@ def _cmd_reconstruct(args) -> int:
                args.predictor)
     pose, pose_size = load_pose(args.pose_file)
     check_size(args.pose_file, pose_size, size, args.image)
-    config = IEFConfig(args.iterations, predictor.width, predictor.height,
-                       predictor.feature_downsample)
+    config = IEFConfig(width=predictor.width, height=predictor.height)
     result = ief_reconstruct(image, pose, predictor, model, config)
     os.makedirs(args.out, exist_ok=True)
     save_coeff_vector(os.path.join(args.out, "coefficients.bin"),
@@ -161,23 +161,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the linear predictor on a dataset")
     p.add_argument("--model", required=True, help="MFM1 model file")
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="output PRD3 predictor file")
+    p.add_argument("--out", required=True, help="output PRD4 predictor file")
     p.add_argument("--ridge", type=float, default=defaults.RIDGE_LAMBDA,
                    help=f"ridge strength (default {defaults.RIDGE_LAMBDA})")
-    p.add_argument("--downsample", type=int, default=defaults.FEATURE_DOWNSAMPLE,
-                   help=f"feature pooling factor (default {defaults.FEATURE_DOWNSAMPLE})")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("reconstruct",
                        help="iterative reconstruction of one image")
     p.add_argument("--model", required=True, help="MFM1 model file")
-    p.add_argument("--predictor", required=True, help="PRD3 predictor file")
+    p.add_argument("--predictor", required=True, help="PRD4 predictor file")
     p.add_argument("--image", required=True, help="input face image (PGM)")
     p.add_argument("--pose-file", required=True, dest="pose_file",
                    help="pose parameter text file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--iterations", type=int, default=defaults.IEF_ITERATIONS,
-                   help=f"loop iterations (default {defaults.IEF_ITERATIONS})")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("eval",

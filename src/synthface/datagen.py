@@ -224,13 +224,16 @@ def generate_dataset(master_seed: int,
         raise ValueError("count must be >= 1")
     if min(width, height) < 1:
         raise ValueError(f"image size {width}x{height} must be at least 1x1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
 
     indices = list(range(count))
-    if workers > 1:
-        jobs = [(master_seed, indices[k::workers], out_dir, width, height)
-                for k in range(min(workers, count))]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+    n_jobs = min(workers, count)    # a forked pool starts all workers up front
+    if n_jobs > 1:
+        jobs = [(master_seed, indices[k::n_jobs], out_dir, width, height)
+                for k in range(n_jobs)]
+        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_init_worker,
                                  initargs=(model,)) as pool:
             list(pool.map(_generate_range, jobs))
     else:

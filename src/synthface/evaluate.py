@@ -192,13 +192,13 @@ def load_landmarks(path, n_vertices: int) -> LandmarkSet:
                 continue
             idx, px, py = line.split()
             indices.append(int(idx))
+            if not 0 <= indices[-1] < n_vertices:
+                raise ValueError(f"landmark vertex index {idx} out of range for "
+                                 f"{n_vertices} vertices")
             points.append((float(px), float(py)))
     landmarks = LandmarkSet(np.array(indices), np.array(points))
     if not np.all(np.isfinite(landmarks.image_points)):
         raise ValueError("landmark coordinates contain non-finite values")
-    idx = landmarks.vertex_indices
-    if idx.min() < 0 or idx.max() >= n_vertices:
-        raise ValueError(f"landmark vertex index out of range for {n_vertices} vertices")
     return landmarks
 
 

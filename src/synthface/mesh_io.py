@@ -36,7 +36,8 @@ def save_pose(path, pose: PoseParams, width: int, height: int) -> None:
 @names_file
 def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
     """Pose and (width, height) from one `f` line of 1 value, three `R` rows,
-    one `t` line of 3 and one `size` line of 2 positive integers."""
+    one `t` line of 3 and one `size` line of 2 integers in [1, 2**32), the
+    range of a predictor file's u32 size fields."""
     lines = {key: [] for key in POSE_LINES}
     with open(path) as fh:
         for line in fh:
@@ -51,7 +52,7 @@ def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
             if len(values) != n:
                 raise ValueError(f"pose line {line.strip()!r} has {len(values)} "
                                  f"values, expected {n}")
-            if not np.all(np.isfinite(values)):
+            if parse is float and not np.all(np.isfinite(values)):
                 raise ValueError(f"pose line {line.strip()!r} has a non-finite value")
             lines[key].append(values)
     if [len(lines[key]) for key in lines] != [1, 3, 1, 1]:
@@ -59,5 +60,7 @@ def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
     width, height = lines["size"][0]
     if width < 1 or height < 1:
         raise ValueError(f"image size {width}x{height} is not positive")
+    if max(width, height) >= 2**32:
+        raise ValueError(f"image size {width}x{height} is above 2**32 - 1")
     pose = PoseParams(lines["f"][0][0], np.array(lines["R"]), np.array(lines["t"][0]))
     return pose, (width, height)

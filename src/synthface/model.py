@@ -23,11 +23,6 @@ FACE_WIDTH = 3.0
 FACE_HEIGHT = 4.0
 FACE_DEPTH = 1.3
 
-# Relative energy of the basis displacement fields per coordinate.  Equal
-# weights keep the landmark observation matrix well conditioned under weak
-# perspective while leaving enough depth variation for shading images.
-BASIS_COORD_WEIGHTS = (1.0, 1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class GeometryCoefficients:
@@ -86,7 +81,7 @@ class MorphableModel:
     mu_tex: np.ndarray         # (3N,), interleaved rgb
     basis_tex: np.ndarray      # (3N, n_tex)
     triangles: np.ndarray      # (M, 3) int
-    landmark_indices: np.ndarray | None = None   # optional, 68 vertex indices
+    landmark_indices: np.ndarray   # (K,) vertex indices, 68 from the builder
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -104,7 +99,7 @@ class MorphableModel:
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise ValueError("triangle index out of range")
         lmk = self.landmark_indices
-        if lmk is not None and lmk.size and (lmk.min() < 0 or lmk.max() >= self.n_vertices):
+        if lmk.size and (lmk.min() < 0 or lmk.max() >= self.n_vertices):
             raise ValueError(f"landmark vertex index out of range for {self.n_vertices} vertices")
 
     @property
@@ -209,7 +204,10 @@ def _nearest_unique_vertices(grid_uv: np.ndarray, targets: np.ndarray) -> np.nda
     return out
 
 
-def _orthonormal_smooth_basis(rng, field_basis, n_cols, coord_weights):
+# Every coordinate of a basis field gets the same energy: that keeps the landmark
+# observation matrix well conditioned under weak perspective while leaving
+# enough depth variation for shading images.
+def _orthonormal_smooth_basis(rng, field_basis, n_cols):
     """Random smooth displacement fields with orthonormalized columns (3N x n_cols)."""
     n_pts, n_field = field_basis.shape
     raw = np.empty((3 * n_pts, n_cols))
@@ -217,7 +215,7 @@ def _orthonormal_smooth_basis(rng, field_basis, n_cols, coord_weights):
         disp = np.empty((n_pts, 3))
         for axis in range(3):
             g = rng.standard_normal(n_field)
-            disp[:, axis] = coord_weights[axis] * (field_basis @ g) / np.sqrt(n_field)
+            disp[:, axis] = (field_basis @ g) / np.sqrt(n_field)
         raw[:, c] = disp.reshape(-1)
     q, r = np.linalg.qr(raw)
     # fix signs for determinism
@@ -285,10 +283,8 @@ def build_procedural_model(seed: int,
         n_freq += 1
     field_basis = _smooth_field_basis(u, v, n_freq)
 
-    shape_basis = _orthonormal_smooth_basis(rng, field_basis, n_id + n_exp,
-                                            BASIS_COORD_WEIGHTS)
-    tex_basis = _orthonormal_smooth_basis(rng, field_basis, n_tex,
-                                          (1.0, 1.0, 1.0))
+    shape_basis = _orthonormal_smooth_basis(rng, field_basis, n_id + n_exp)
+    tex_basis = _orthonormal_smooth_basis(rng, field_basis, n_tex)
 
     mu_tex = np.empty((n, 3))
     mu_tex[:, 0] = 0.78 + 0.05 * v

@@ -3,8 +3,8 @@
 Layout (little-endian): magic ``MFM1``; u32 N, M, n_id, n_exp, n_tex; then
 float64 arrays mu_S, the shape basis [A_id | A_exp] (column-major, so A_id's
 columns and then A_exp's), mu_T, A_T (column-major); u32 triangle triples;
-optional trailer ``LMK1`` + u32 K + u32 landmark vertex indices, which ends
-the file.  Round-trips are bit-exact.  Loading rejects a file whose shape
+the landmark trailer ``LMK1`` + u32 K + u32 landmark vertex indices, which
+ends the file.  Round-trips are bit-exact.  Loading rejects a file whose shape
 basis is not orthonormal: the vertex-space loss, the ridge predictor and the
 landmark prior all rely on that.
 """
@@ -32,9 +32,8 @@ def model_chunks(model: MorphableModel):
         # column-major bytes of `arr` are the row-major bytes of its transpose
         yield np.ascontiguousarray(arr.T, dtype="<f8")
     yield np.ascontiguousarray(model.triangles, dtype="<u4")
-    if model.landmark_indices is not None:
-        yield LANDMARK_MAGIC + struct.pack("<I", model.landmark_indices.shape[0])
-        yield np.ascontiguousarray(model.landmark_indices, dtype="<u4")
+    yield LANDMARK_MAGIC + struct.pack("<I", model.landmark_indices.shape[0])
+    yield np.ascontiguousarray(model.landmark_indices, dtype="<u4")
 
 
 def model_from_bytes(data: bytes) -> MorphableModel:
@@ -61,16 +60,14 @@ def model_from_bytes(data: bytes) -> MorphableModel:
         .copy().reshape(m, 3).astype(np.int64)
     off += 12 * m
 
-    landmarks = None
-    if off < len(data):
-        if data[off:off + 4] != LANDMARK_MAGIC:
-            raise ValueError("unrecognized trailer in model file")
-        k = struct.unpack_from("<I", data, off + 4)[0]
-        landmarks = np.frombuffer(data, dtype="<u4", count=k, offset=off + 8) \
-            .copy().astype(np.int64)
-        off += 8 + 4 * k
-        if off != len(data):
-            raise ValueError(f"{len(data) - off} bytes after the landmark trailer")
+    if data[off:off + 4] != LANDMARK_MAGIC:
+        raise ValueError(f"no {LANDMARK_MAGIC.decode()} landmark trailer at byte {off}")
+    k = struct.unpack_from("<I", data, off + 4)[0]
+    landmarks = np.frombuffer(data, dtype="<u4", count=k, offset=off + 8) \
+        .copy().astype(np.int64)
+    off += 8 + 4 * k
+    if off != len(data):
+        raise ValueError(f"{len(data) - off} bytes after the landmark trailer")
     model = MorphableModel(mu_s, basis, n_id, mu_t, a_tex, tris,
                            landmark_indices=landmarks)
     if not np.allclose(basis.T @ basis, np.eye(n_id + n_exp), atol=1e-8):

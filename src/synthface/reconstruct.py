@@ -5,9 +5,9 @@ image of the current estimate, masks the input image with the estimate's
 coverage, and asks the predictor for updated coefficients.  It returns the
 sequence of coefficient estimates with the mesh and shading image of the
 last one.  The desk-scale predictor is a ridge-trained linear map on
-pooled-pixel features; anything with the same call signature plugs in
-unchanged.  Its PRD3 file records the image size, pooling factor and model
-it was trained for; the iteration count stays a run-time choice.
+features pooled over fixed 8-pixel blocks; anything with the same call
+signature plugs in unchanged.  Its PRD4 file records the image size and the
+model it was trained for.
 """
 
 from __future__ import annotations
@@ -31,21 +31,25 @@ class IEFConfig:
     iterations: int = defaults.IEF_ITERATIONS
     width: int = defaults.IMAGE_WIDTH
     height: int = defaults.IMAGE_HEIGHT
-    feature_downsample: int = defaults.FEATURE_DOWNSAMPLE
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if min(self.width, self.height, self.feature_downsample) < 1:
-            raise ValueError("image dims and feature_downsample must be >= 1")
-        if self.width % self.feature_downsample or self.height % self.feature_downsample:
-            raise ValueError("image dims must be divisible by feature_downsample")
+        k = defaults.FEATURE_DOWNSAMPLE
+        if min(self.width, self.height) < 1 or self.width % k or self.height % k:
+            raise ValueError(f"image size {self.width}x{self.height} is not a "
+                             f"positive multiple of the {k}-pixel pooling")
 
     @property
     def feature_dim(self) -> int:
-        blocks = (self.width // self.feature_downsample) \
-            * (self.height // self.feature_downsample)
-        return 2 * blocks
+        k = defaults.FEATURE_DOWNSAMPLE
+        return 2 * (self.width // k) * (self.height // k)
+
+
+@names_file
+def pooled_config(path, width: int, height: int) -> IEFConfig:
+    """The config of `width` x `height` images read from the file at `path`."""
+    return IEFConfig(width=width, height=height)
 
 
 @dataclass
@@ -71,7 +75,7 @@ def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
         raise ValueError(
             f"image dims {face_image.shape}/{shading_image.shape} do not match "
             f"config {expected}")
-    k = config.feature_downsample
+    k = defaults.FEATURE_DOWNSAMPLE
     return np.concatenate([_block_mean(face_image, k),
                            _block_mean(shading_image, k)])
 
@@ -79,13 +83,12 @@ def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
 @dataclass
 class LinearPredictor:
     """pred = weight @ [features; alpha] + bias, for `width` x `height` images
-    pooled by `feature_downsample` and the model whose digest it records."""
+    and the model whose digest it records."""
 
     weight: np.ndarray    # (n_coeffs, feature_dim + n_coeffs)
     bias: np.ndarray      # (n_coeffs,)
     width: int
     height: int
-    feature_downsample: int
     model_digest: str     # sha256 hex of the MFM1 model bytes
 
     def __call__(self, features: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -131,8 +134,7 @@ def train_linear_predictor(samples,
     else:
         params = np.linalg.solve(x.T @ x + ridge_lambda * np.eye(d), x.T @ y).T
     return LinearPredictor(params[:, :-1], params[:, -1], config.width,
-                           config.height, config.feature_downsample,
-                           model_digest(model))
+                           config.height, model_digest(model))
 
 
 def ief_reconstruct(face_image: np.ndarray,
@@ -170,18 +172,18 @@ def ief_reconstruct(face_image: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# PRD3 predictor file: magic, u32 width, height, feature_downsample, n_coeffs,
-# the 32-byte model digest, then float64 weight (row-major) and bias.  PRD2
-# had the same header and one more weight column for a constant feature.
+# PRD4 predictor file: magic, u32 width, height, n_coeffs, the 32-byte model
+# digest, then float64 weight (row-major) and bias.  PRD3 also recorded a
+# pooling factor, and PRD2 had one more weight column for a constant feature.
 
-PREDICTOR_MAGIC = b"PRD3"
-HEADER = struct.Struct("<4s4I32s")
+PREDICTOR_MAGIC = b"PRD4"
+HEADER = struct.Struct("<4s3I32s")
 
 
 def save_predictor(path, predictor: LinearPredictor) -> None:
     with open(path, "wb") as f:
         f.write(HEADER.pack(PREDICTOR_MAGIC, predictor.width, predictor.height,
-                            predictor.feature_downsample, predictor.n_coeffs,
+                            predictor.n_coeffs,
                             bytes.fromhex(predictor.model_digest)))
         f.write(predictor.weight.astype("<f8").tobytes(order="C"))
         f.write(predictor.bias.astype("<f8").tobytes())
@@ -194,15 +196,15 @@ def load_predictor(path) -> LinearPredictor:
     if data[:4] != PREDICTOR_MAGIC:
         raise ValueError(f"bad predictor magic {data[:4]!r}, expected "
                          f"{PREDICTOR_MAGIC!r}")
-    _, width, height, k, n_coeffs, digest = HEADER.unpack_from(data)
-    n_in = IEFConfig(1, width, height, k).feature_dim + n_coeffs
+    _, width, height, n_coeffs, digest = HEADER.unpack_from(data)
+    n_in = IEFConfig(width=width, height=height).feature_dim + n_coeffs
     expected = HEADER.size + 8 * (n_coeffs * n_in + n_coeffs)
     if len(data) != expected:
         raise ValueError(f"{len(data)} bytes, expected {expected} for "
-                         f"{width}x{height} pool {k} n_coeffs={n_coeffs}")
+                         f"{width}x{height} n_coeffs={n_coeffs}")
     values = np.frombuffer(data, dtype="<f8", offset=HEADER.size)
     if not np.all(np.isfinite(values)):
         raise ValueError("weight or bias contains non-finite values")
     weight = values[:n_coeffs * n_in].reshape(n_coeffs, n_in).copy()
     bias = values[n_coeffs * n_in:].copy()
-    return LinearPredictor(weight, bias, width, height, k, digest.hex())
+    return LinearPredictor(weight, bias, width, height, digest.hex())

@@ -124,6 +124,17 @@ def test_datagen_rejects_bad_size_before_writing(tmp_path, model_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_datagen_rejects_bad_workers_before_writing(tmp_path, model_file, capsys,
+                                                    workers):
+    out = tmp_path / "d"
+    rc = run("datagen", "--model", model_file, "--out", out, "--count", 2,
+             "--workers", workers)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+    assert not out.exists()
+
+
 def _non_orthonormal(data):
     model = model_from_bytes(data)
     return b"".join(model_chunks(replace(model, shape_basis=2.0 * model.shape_basis)))
@@ -189,9 +200,22 @@ def test_train_rejects_bad_ridge_before_writing(tmp_path, model_file, pipeline,
     assert not out.exists()
 
 
+def test_train_rejects_size_off_the_pooling_grid(tmp_path, model_file, capsys):
+    data, out = tmp_path / "data", tmp_path / "p.prd"
+    assert run("datagen", "--model", model_file, "--out", data, "--count", 2,
+               "--width", 60, "--height", 60) == 0
+    capsys.readouterr()
+    rc = run("train", "--model", model_file, "--dataset", data, "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'manifest.txt'}: image size 60x60 is not a positive "
+        "multiple of the 8-pixel pooling\n")
+    assert not out.exists()
+
+
 def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys):
     # 12 coefficients and another model's digest; the model file has 15
-    wrong = LinearPredictor(np.zeros((12, 128 + 12)), np.zeros(12), 64, 64, 8,
+    wrong = LinearPredictor(np.zeros((12, 128 + 12)), np.zeros(12), 64, 64,
                             "0" * 64)
     ppath = tmp_path / "wrong.prd"
     save_predictor(ppath, wrong)
@@ -251,15 +275,6 @@ def test_reconstruct_rejects_another_model(tmp_path, pipeline, capsys):
     assert_one_line_error(capsys, pipeline / "p.prd")
 
 
-def test_reconstruct_reads_pooling_from_predictor(tmp_path, model_file, pipeline):
-    assert run("train", "--model", model_file, "--dataset", pipeline / "data",
-               "--out", tmp_path / "p.prd", "--ridge", 1.0,
-               "--downsample", 4) == 0
-    out = tmp_path / "recon"
-    assert reconstruct(model_file, pipeline, out, tmp_path / "p.prd") == 0
-    assert load_coeff_vector(out / "coefficients.bin").shape == (15,)
-
-
 def test_eval_reads_image_size_from_pose(tmp_path, model_file, pipeline):
     ev = tmp_path / "ev"
     assert eval_landmarks(model_file, pipeline, ev, pipeline / "lms.txt") == 0
@@ -278,22 +293,15 @@ def test_eval_reads_image_size_from_pose(tmp_path, model_file, pipeline):
 
 
 def _parent_layout(data):
-    """The same predictor as a PRD2 file: a zero weight for its constant feature."""
-    header = struct.Struct("<4s4I32s")
-    _, width, height, k, n_coeffs, _ = header.unpack_from(data)
-    n_in = 2 * (width // k) * (height // k) + n_coeffs
-    values = np.frombuffer(data, dtype="<f8", offset=header.size)
-    weight = np.insert(values[:n_coeffs * n_in].reshape(n_coeffs, n_in),
-                       n_in - n_coeffs, 0.0, axis=1)
-    return (b"PRD2" + data[4:header.size] + weight.tobytes()
-            + values[n_coeffs * n_in:].tobytes())
+    """The same predictor as a PRD3 file: its pooling factor 8 after the height."""
+    return b"PRD3" + data[4:12] + struct.pack("<I", 8) + data[12:]
 
 
 @pytest.mark.parametrize("corrupt", [
     lambda data: data[:100],
     lambda data: data[:6],
     lambda data: data + b"\x00" * 8,
-    _nan_at(52),                        # the first weight, after the header
+    _nan_at(48),                        # the first weight, after the header
     _parent_layout,
 ], ids=["truncated", "short", "trailing", "nan_weight", "parent_layout"])
 def test_reconstruct_corrupt_predictor_names_file(tmp_path, model_file, pipeline,
@@ -324,13 +332,14 @@ def _text_lines(edit):
     ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 64.0 64"])),
     ("pose.txt", _text_lines(lambda ls: ["f nan"] + ls[1:])),
     ("pose.txt", _text_lines(lambda ls: ls[:-2] + ["t inf 0 0"] + ls[-1:])),
+    ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 99999999999999999999 64"])),
     # a valid image or pose made for another size than the 64x64 predictor's
     ("face.pgm", lambda data: b"P5\n128 128\n255\n" + bytes(128 * 128)),
     ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 200 200"])),
 ], ids=["pgm_cut_1000", "pgm_trailing", "pose_f_abc", "pose_f_two_values",
         "pose_R_scaled", "pose_R_two_values", "pose_t_four_values",
         "pose_no_size", "pose_two_sizes", "pose_size_float", "pose_f_nan",
-        "pose_t_inf", "pgm_128x128", "pose_size_200"])
+        "pose_t_inf", "pose_size_huge", "pgm_128x128", "pose_size_200"])
 def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
                                               capsys, name, corrupt):
     for f in ("p.prd", "face.pgm", "pose.txt"):
@@ -453,7 +462,8 @@ def eval_landmarks(model_file, pipeline, out, landmarks):
     _text_lines(lambda ls: ls + ["5 1.0"]),
     _text_lines(lambda ls: ["5000 " + ls[0].split(maxsplit=1)[1]] + ls[1:]),
     _text_lines(lambda ls: [ls[0].split()[0] + " nan 1.0"] + ls[1:]),
-], ids=["two_values", "index_5000", "nan_x"])
+    _text_lines(lambda ls: ["99999999999999999999 1.0 2.0"] + ls[1:]),
+], ids=["two_values", "index_5000", "nan_x", "index_huge"])
 def test_eval_corrupt_landmarks_names_file(tmp_path, model_file, pipeline,
                                            capsys, corrupt):
     bad = tmp_path / "lms.txt"
@@ -488,10 +498,21 @@ def test_make_eval_inputs_corrupt_model_names_file(tmp_path, model_file):
     assert proc.stderr.count("\n") == 1
 
 
+def test_make_eval_inputs_rejects_model_without_landmarks(tmp_path, model_file):
+    bare = tmp_path / "bare.mfm"
+    data = model_file.read_bytes()
+    bare.write_bytes(data[:data.rfind(b"LMK1")])
+    proc = make_eval_inputs(bare, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {bare}: ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_has_no_iterations_flag(capsys):
-    """Values a file records are not restated on the command line."""
-    for sub, flags in (("train", ["--iterations"]),
-                       ("reconstruct", ["--downsample"]),
+    """Values a file records or the pipeline fixes are not command-line options."""
+    for sub, flags in (("train", ["--iterations", "--downsample"]),
+                       ("reconstruct", ["--iterations", "--downsample"]),
                        ("eval", ["--width", "--height", "--ridge"])):
         with pytest.raises(SystemExit):
             run(sub, "--help")

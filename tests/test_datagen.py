@@ -138,6 +138,40 @@ def test_dataset_worker_count_invariance(tmp_path, small_model):
     assert dir_digest(d1) == dir_digest(d3)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs in-process."""
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("count, workers, pool_size", [(2, 8, 2), (5, 3, 3),
+                                                       (1, 4, None)])
+def test_dataset_pool_is_sized_to_its_jobs(tmp_path, small_model, monkeypatch,
+                                           count, workers, pool_size):
+    from synthface import datagen
+    monkeypatch.setattr(datagen, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(datagen, "_worker_model", None)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    generate_dataset(4, small_model, count, pooled, width=16, height=16,
+                     workers=workers)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    generate_dataset(4, small_model, count, serial, width=16, height=16)
+    assert dir_digest(pooled) == dir_digest(serial)
+
+
 def test_dataset_roundtrip_and_seed_sensitivity(tmp_path, small_model):
     d = tmp_path / "ds"
     manifest = generate_dataset(8, small_model, 3, d, width=64, height=64)

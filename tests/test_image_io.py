@@ -7,7 +7,7 @@ from synthface.datagen import (generate_sample, load_coeff_vector,
                                save_sample_coeffs)
 from synthface.image_io import quantize, read_pgm, write_pgm, write_ppm
 from synthface.model import build_procedural_model
-from synthface.model_io import LANDMARK_MAGIC, load_model, model_digest, save_model
+from synthface.model_io import load_model, model_digest, save_model
 from synthface.reconstruct import LinearPredictor, load_predictor, save_predictor
 
 
@@ -68,37 +68,34 @@ def test_quantize_idempotent_and_on_grid(value):
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """name -> (path of a valid file, its reader, cut lengths that stay valid)."""
+    """name -> (path of a valid file, its reader)."""
     root = tmp_path_factory.mktemp("valid")
     model = build_procedural_model(1, 3, 2, 2, 9)
     sample = generate_sample(np.random.default_rng(3), model, 16, 16)
     save_model(model, root / "m.mfm")
     save_predictor(root / "p.prd", LinearPredictor(np.ones((2, 4)), np.ones(2),
-                                                   4, 4, 4, model_digest(model)))
+                                                   8, 8, model_digest(model)))
     save_coeff_vector(root / "v.bin", sample.alpha_gt.vector)
     save_sample_coeffs(root / "s.bin", sample)
     write_pgm(root / "f.pgm", sample.face_image)
-    # cutting off exactly the optional landmark trailer leaves a valid model
-    trailer = (root / "m.mfm").read_bytes().rfind(LANDMARK_MAGIC)
-    return {"mfm1": (root / "m.mfm", load_model, {trailer}),
-            "prd3": (root / "p.prd", load_predictor, set()),
-            "coeff_vector": (root / "v.bin", load_coeff_vector, set()),
+    return {"mfm1": (root / "m.mfm", load_model),
+            "prd4": (root / "p.prd", load_predictor),
+            "coeff_vector": (root / "v.bin", load_coeff_vector),
             "sample_coeffs": (root / "s.bin",
-                              lambda path: load_sample_coeffs(path, model.n_id), set()),
-            "pgm": (root / "f.pgm", read_pgm, set())}
+                              lambda path: load_sample_coeffs(path, model.n_id)),
+            "pgm": (root / "f.pgm", read_pgm)}
 
 
-@pytest.mark.parametrize("name", ["mfm1", "prd3", "coeff_vector",
+@pytest.mark.parametrize("name", ["mfm1", "prd4", "coeff_vector",
                                   "sample_coeffs", "pgm"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_cut_of_a_valid_file_names_it(valid_files, tmp_path_factory,
                                             name, data):
-    path, reader, still_valid = valid_files[name]
+    path, reader = valid_files[name]
     whole = path.read_bytes()
     reader(path)
-    cut = data.draw(st.integers(0, len(whole) - 1)
-                    .filter(lambda n: n not in still_valid), label="cut")
+    cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
     bad = tmp_path_factory.getbasetemp() / f"cut_{path.name}"
     bad.write_bytes(whole[:cut])
     with pytest.raises(ValueError) as err:

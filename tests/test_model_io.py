@@ -88,10 +88,13 @@ def test_corrupt_trailer_raises(small_model):
         model_from_bytes(corrupted)
 
 
-def test_model_without_landmarks_roundtrips(small_model):
-    bare = replace(small_model, landmark_indices=None)
-    loaded = model_from_bytes(model_to_bytes(bare))
-    assert loaded.landmark_indices is None
+def test_model_without_landmark_trailer_rejected(tmp_path, small_model):
+    data = model_to_bytes(small_model)
+    path = tmp_path / "bare.mfm"
+    path.write_bytes(data[:data.rfind(model_io.LANDMARK_MAGIC)])
+    with pytest.raises(ValueError, match="no LMK1 landmark trailer") as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_non_orthonormal_basis_rejected(small_model):

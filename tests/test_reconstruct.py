@@ -29,12 +29,11 @@ def cfg64():
 def test_config_validation():
     with pytest.raises(ValueError):
         IEFConfig(iterations=0)
-    with pytest.raises(ValueError):
-        IEFConfig(width=100, height=100, feature_downsample=8)
-    with pytest.raises(ValueError):
-        IEFConfig(feature_downsample=0)
-    assert IEFConfig(width=200, height=200, feature_downsample=8).feature_dim \
-        == 2 * 25 * 25
+    for width, height in ((100, 100), (64, 60), (0, 64)):
+        with pytest.raises(ValueError, match=f"image size {width}x{height} is "
+                           "not a positive multiple of the 8-pixel pooling"):
+            IEFConfig(width=width, height=height)
+    assert IEFConfig(width=200, height=200).feature_dim == 2 * 25 * 25
 
 
 def test_features_constant_image(cfg64):
@@ -167,7 +166,7 @@ def test_zero_predictor_stays_at_mean(fit_model, corpus, cfg64):
     s = corpus[0]
     zero = LinearPredictor(np.zeros((40, cfg64.feature_dim + 40)),
                            np.zeros(40), cfg64.width, cfg64.height,
-                           cfg64.feature_downsample, model_digest(fit_model))
+                           model_digest(fit_model))
     res = ief_reconstruct(s.face_image, s.pose, zero, fit_model, cfg64)
     for it in res.iterates:
         assert np.array_equal(it, np.zeros(40))
@@ -220,24 +219,25 @@ def test_wrong_predictor_output_rejected(fit_model, corpus, cfg64):
 # Predictor file format
 
 def test_predictor_roundtrip_bit_exact(tmp_path, rng, small_model):
-    # 16x8 pooled by 4: 2 * 4 * 2 = 16 features
-    pred = LinearPredictor(rng.standard_normal((12, 16 + 12)),
-                           rng.standard_normal(12), 16, 8, 4,
+    # 16x8 pooled by 8: 2 * 2 * 1 = 4 features
+    pred = LinearPredictor(rng.standard_normal((12, 4 + 12)),
+                           rng.standard_normal(12), 16, 8,
                            model_digest(small_model))
     path = tmp_path / "p.prd"
     save_predictor(path, pred)
     loaded = load_predictor(path)
     assert np.array_equal(loaded.weight, pred.weight)
     assert np.array_equal(loaded.bias, pred.bias)
-    assert (loaded.width, loaded.height, loaded.feature_downsample) == (16, 8, 4)
+    assert (loaded.width, loaded.height) == (16, 8)
+    # the header is the magic, three u32 and the 32-byte digest
+    assert path.stat().st_size == 48 + 8 * (12 * 16 + 12)
     assert loaded.model_digest == model_digest(small_model)
     assert loaded.n_coeffs == 12
 
 
 def test_trained_predictor_records_config_and_model(fit_model, corpus, cfg64):
     pred = train_linear_predictor(corpus, fit_model, cfg64)
-    assert (pred.width, pred.height, pred.feature_downsample) == (
-        cfg64.width, cfg64.height, cfg64.feature_downsample)
+    assert (pred.width, pred.height) == (cfg64.width, cfg64.height)
     assert pred.model_digest == model_digest(fit_model)
 
 
