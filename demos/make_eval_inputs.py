@@ -54,5 +54,5 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except (ValueError, OSError, RuntimeError) as exc:
-        sys.exit(f"error: {exc}")
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        sys.exit(f"error: {str(exc) or 'out of memory'}")

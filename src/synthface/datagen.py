@@ -4,7 +4,8 @@ Each sample pairs a rendered, masked grayscale face image (ground-truth
 geometry alpha_gt) with the shading image of an intermediate geometry alpha_t
 drawn between a random geometry and alpha_gt, both projected with the same
 pose.  Sample i uses an RNG stream derived from (master_seed, i), so the
-output bytes are independent of generation order and worker count.
+output bytes are independent of generation order and worker count, and its
+files are named by i, so a dataset's manifest lists no files.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,15 +44,20 @@ class TrainingSample:
 
 @dataclass
 class DatasetManifest:
+    """The five `key=value` lines of `manifest.txt`, in this order."""
     model_hash: str
     count: int
     width: int
     height: int
     master_seed: int
-    entries: list      # (sample_id, face_file, shading_file, coeff_file)
+
+    @property
+    def entries(self) -> list:
+        """(sample_id, face_file, shading_file, coeff_file) for each sample."""
+        return [(i, *_sample_files(i)) for i in range(self.count)]
 
 
-MANIFEST_KEYS = ("model_hash", "count", "width", "height", "master_seed")
+MANIFEST_KEYS = tuple(f.name for f in fields(DatasetManifest))
 
 
 def sample_intermediate(rng: np.random.Generator,
@@ -239,49 +245,38 @@ def generate_dataset(master_seed: int,
     else:
         _generate_range((master_seed, indices, out_dir, width, height), model)
 
-    entries = [(i, *_sample_files(i)) for i in indices]
     manifest = DatasetManifest(model_digest(model), count, width, height,
-                               master_seed, entries)
+                               master_seed)
     save_manifest(os.path.join(out_dir, "manifest.txt"), manifest)
     return manifest
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    lines = [f"{key}={getattr(manifest, key)}" for key in MANIFEST_KEYS] + [""]
-    for sid, face_f, shade_f, coeff_f in manifest.entries:
-        lines.append(f"{sid} {face_f} {shade_f} {coeff_f}")
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.writelines(f"{key}={getattr(manifest, key)}\n"
+                     for key in MANIFEST_KEYS)
 
 
 @names_file
 def load_manifest(path) -> DatasetManifest:
+    """The header; sample i's files are `_sample_files(i)` beside `path`."""
     header = {}
-    entries = []
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    k = 0
-    while k < len(lines) and "=" in lines[k]:
-        key, val = lines[k].split("=", 1)
-        header[key] = val
-        k += 1
+        for n, line in enumerate(f, 1):
+            key, sep, val = line.rstrip("\n").partition("=")
+            if not sep or key not in MANIFEST_KEYS or key in header:
+                raise ValueError(f"line {n} {line.rstrip()!r} is not one of "
+                                 f"{', '.join(MANIFEST_KEYS)}, each once")
+            header[key] = val
     missing = [key for key in MANIFEST_KEYS if key not in header]
     if missing:
         raise ValueError(f"missing header keys {', '.join(missing)}")
-    count, width, height, master_seed = (int(header[key])
-                                         for key in MANIFEST_KEYS[1:])
-    for ln in lines[k:]:
-        if ln.strip():
-            sid, face_f, shade_f, coeff_f = ln.split()
-            entries.append((int(sid), face_f, shade_f, coeff_f))
-    if not entries:
+    manifest = DatasetManifest(header["model_hash"],
+                               *(int(header[key]) for key in MANIFEST_KEYS[1:]))
+    if manifest.count < 1:
         raise ValueError("manifest lists no samples")
-    if count != len(entries):
-        raise ValueError(f"count={count} but {len(entries)} entries")
-    manifest = DatasetManifest(header["model_hash"], count, width, height,
-                               master_seed, entries)
     base = os.path.dirname(os.path.abspath(path))
-    for _, *files in entries:
+    for _, *files in manifest.entries:
         for name in files:
             p = os.path.join(base, name)
             if not os.path.exists(p):

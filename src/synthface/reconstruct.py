@@ -2,12 +2,13 @@
 
 The loop starts at the mean face (all-zero coefficients), renders a shading
 image of the current estimate, masks the input image with the estimate's
-coverage, and asks the predictor for updated coefficients.  It returns the
-sequence of coefficient estimates with the mesh and shading image of the
-last one.  The desk-scale predictor is a ridge-trained linear map on
-features pooled over fixed 8-pixel blocks; anything with the same call
-signature plugs in unchanged.  Its PRD4 file records the image size and the
-model it was trained for.
+coverage, and asks the predictor for updated coefficients.  The estimate is
+the loop's only state, so one that covers no pixel gives all-zero features.
+It returns the sequence of coefficient estimates with the mesh and shading
+image of the last one.  The desk-scale predictor is a ridge-trained linear
+map on features pooled over fixed 8-pixel blocks; anything with the same
+call signature plugs in unchanged.  Its PRD4 file records the image size
+and the model it was trained for.
 """
 
 from __future__ import annotations
@@ -148,11 +149,8 @@ def ief_reconstruct(face_image: np.ndarray,
         raise ValueError(
             f"image shape {face_image.shape} does not match config "
             f"({config.height}, {config.width})")
-    n_coeffs = model.n_id + model.n_exp
-    alpha = np.zeros(n_coeffs)
+    alpha = np.zeros(model.n_id + model.n_exp)
     iterates = [alpha.copy()]
-    mask = np.ones(face_image.shape, dtype=bool)
-    shading_img = np.zeros_like(face_image)
 
     for k in range(config.iterations + 1):
         mesh = synthesize_geometry(
@@ -160,13 +158,10 @@ def ief_reconstruct(face_image: np.ndarray,
         raster = render_shading_image(mesh, pose, config.width, config.height)
         if k == config.iterations:
             return ReconstructionResult(iterates, mesh, raster.image)
-        # a degenerate estimate keeps the last non-empty mask and shading
-        if raster.mask.any():
-            mask, shading_img = raster.mask, raster.image
-        masked = np.where(mask, face_image, 0.0)
-        features = extract_features(masked, shading_img, config)
+        masked = np.where(raster.mask, face_image, 0.0)
+        features = extract_features(masked, raster.image, config)
         alpha = np.asarray(predictor(features, alpha), dtype=np.float64)
-        if alpha.shape != (n_coeffs,):
+        if alpha.shape != iterates[0].shape:
             raise ValueError("predictor returned a wrong-sized coefficient vector")
         iterates.append(alpha.copy())
 

@@ -224,22 +224,26 @@ def learning_experiment(model_30_10):
     return summary
 
 
+@pytest.mark.slow
 def test_criterion_6_runtime(learning_experiment):
     assert learning_experiment["elapsed"] < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_6a_losses_non_increasing(learning_experiment):
     losses = learning_experiment["held_losses"]
     assert np.all(np.diff(losses) <= 1e-9), \
         f"held-out iterate losses increase: {losses.tolist()}"
 
 
+@pytest.mark.slow
 def test_criterion_6b_final_beats_half_baseline(learning_experiment):
     losses = learning_experiment["held_losses"]
     assert losses[-1] < 0.5 * losses[0], \
         f"final loss {losses[-1]:.3f} not below half of baseline {losses[0]:.3f}"
 
 
+@pytest.mark.slow
 def test_criterion_6c_beats_sparse_landmark_baseline(learning_experiment):
     assert learning_experiment["ief_error"] \
         <= learning_experiment["landmark_error"], \

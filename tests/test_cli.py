@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import shutil
 import struct
 import subprocess
@@ -22,6 +23,10 @@ from synthface.model_io import load_model, model_chunks, model_from_bytes
 from synthface.reconstruct import LinearPredictor, save_predictor
 from synthface.render import render_shading_image
 from synthface.datagen import generate_sample, rng_for_sample
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MAKE_EVAL_INPUTS = os.path.join(REPO, "demos", "make_eval_inputs.py")
 
 
 def file_digest(path):
@@ -168,8 +173,7 @@ def test_train_empty_dataset(tmp_path, model_file, capsys):
     assert run("datagen", "--model", model_file, "--out", data, "--count", 1,
                "--width", 64, "--height", 64) == 0
     manifest = data / "manifest.txt"
-    header = [ln for ln in manifest.read_text().splitlines() if "=" in ln]
-    manifest.write_text("\n".join(header) + "\n")
+    manifest.write_text(manifest.read_text().replace("count=1\n", "count=0\n"))
     rc = run("train", "--model", model_file, "--dataset", data,
              "--out", tmp_path / "p.prd")
     assert rc == 1
@@ -354,8 +358,10 @@ def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
     lambda ln: None if ln.startswith("model_hash=") else ln,
     lambda ln: "width=wide" if ln.startswith("width=") else ln,
     lambda ln: "count=25" if ln.startswith("count=") else ln,
-    lambda ln: "count=3" if ln.startswith("count=") else ln,
-], ids=["missing_key", "non_integer", "count_over", "count_under"])
+    # the file list that manifests before the five-line header carried
+    lambda ln: ln + "\n\n0 sample_000000_face.pgm sample_000000_shading.pgm "
+               "sample_000000_coeffs.bin" if ln.startswith("master_seed=") else ln,
+], ids=["missing_key", "non_integer", "count_over", "parent_entry_line"])
 def test_train_corrupt_manifest_names_file(tmp_path, model_file, pipeline,
                                            capsys, edit):
     data = tmp_path / "data"
@@ -472,13 +478,68 @@ def test_eval_corrupt_landmarks_names_file(tmp_path, model_file, pipeline,
     assert_one_line_error(capsys, bad)
 
 
+def test_eval_pose_size_beyond_numpy_names_pose_file(tmp_path, model_file,
+                                                     pipeline, capsys):
+    # 4294967295² pixels exceed numpy's largest array dimension, so the
+    # heatmap raster fails before it allocates anything
+    pose = tmp_path / "pose.txt"
+    lines = (pipeline / "pose.txt").read_text().splitlines()
+    pose.write_text("\n".join(lines[:-1] + ["size 4294967295 4294967295"]) + "\n")
+    rc = run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
+             "--ief-coeffs", pipeline / "gt.bin",
+             "--landmarks-file", pipeline / "lms.txt", "--pose-file", pose,
+             "--out", tmp_path / "ev")
+    assert rc == 1
+    assert_one_line_error(capsys, pose)
+
+
+NUMPY_MESSAGE = ("Unable to allocate 2.00 TiB for an array with shape "
+                 "(274877906944,) and data type float64")
+ALLOCATION_FAILURES = [(MemoryError(NUMPY_MESSAGE), NUMPY_MESSAGE),
+                       (MemoryError(), "out of memory")]
+
+
+def fail_to_allocate(monkeypatch, exc):
+    """Make the first raster of a sample raise `exc` instead of allocating a
+    buffer as large as the image size asks for."""
+    from synthface import datagen
+
+    def rasterize(*args):
+        raise exc
+    monkeypatch.setattr(datagen, "rasterize", rasterize)
+
+
+@pytest.mark.parametrize("exc, message", ALLOCATION_FAILURES,
+                         ids=["numpy", "bare"])
+def test_datagen_out_of_memory_is_one_line(tmp_path, model_file, capsys,
+                                           monkeypatch, exc, message):
+    fail_to_allocate(monkeypatch, exc)
+    rc = run("datagen", "--model", model_file, "--out", tmp_path / "d",
+             "--count", 1, "--width", 4294967295, "--height", 4294967295)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("exc, message", ALLOCATION_FAILURES,
+                         ids=["numpy", "bare"])
+def test_make_eval_inputs_out_of_memory_is_one_line(tmp_path, model_file,
+                                                    monkeypatch, exc, message):
+    fail_to_allocate(monkeypatch, exc)
+    monkeypatch.setattr(sys, "argv", [
+        MAKE_EVAL_INPUTS, "--model", str(model_file), "--out", str(tmp_path / "out"),
+        "--width", "4294967295", "--height", "4294967295"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(MAKE_EVAL_INPUTS, run_name="__main__")
+    # a string exit code is printed to stderr and exits with status 1
+    assert exit_.value.code == f"error: {message}"
+
+
 def make_eval_inputs(model, out, *args):
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(repo, "src")] + ([inherited] if inherited else [])))
+        [os.path.join(REPO, "src")] + ([inherited] if inherited else [])))
     return subprocess.run(
-        [sys.executable, os.path.join(repo, "demos", "make_eval_inputs.py"),
+        [sys.executable, MAKE_EVAL_INPUTS,
          "--model", str(model), "--out", str(out), *map(str, args)],
         env=env, capture_output=True, text=True)
 

@@ -1,15 +1,18 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
 
-from synthface.datagen import (generate_dataset, generate_sample,
-                               load_coeff_vector, load_dataset, load_manifest,
+from synthface.datagen import (_sample_files, generate_dataset,
+                               generate_sample, load_coeff_vector,
+                               load_dataset, load_manifest,
                                load_sample_coeffs, rng_for_sample,
                                sample_intermediate, save_coeff_vector,
                                save_sample_coeffs)
 from synthface.image_io import quantize
+from synthface.model_io import model_digest
 from synthface.model import (GeometryCoefficients, build_procedural_model,
                              sample_geometry_coefficients,
                              sample_texture_coefficients, synthesize_geometry,
@@ -188,6 +191,37 @@ def test_dataset_roundtrip_and_seed_sensitivity(tmp_path, small_model):
     other = load_dataset(d2, small_model)
     assert not np.array_equal(other[0].alpha_gt.vector,
                               samples[0].alpha_gt.vector)
+
+
+def test_manifest_is_its_header(tmp_path, small_model):
+    d = tmp_path / "ds"
+    manifest = generate_dataset(8, small_model, 3, d, width=16, height=8)
+    assert (d / "manifest.txt").read_text() == (
+        f"model_hash={model_digest(small_model)}\ncount=3\nwidth=16\n"
+        "height=8\nmaster_seed=8\n")
+    assert load_manifest(d / "manifest.txt") == manifest
+    assert manifest.entries == [(i, *_sample_files(i)) for i in range(3)]
+    assert _sample_files(2) == ("sample_000002_face.pgm",
+                                "sample_000002_shading.pgm",
+                                "sample_000002_coeffs.bin")
+    assert [s.sample_id for s in load_dataset(d, small_model)] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("edit", [
+    # manifests before the five-line header also listed every sample's files
+    lambda text: text + "\n0 sample_000000_face.pgm sample_000000_shading.pgm "
+                        "sample_000000_coeffs.bin\n",
+    lambda text: text.replace("count=2\n", "count=0\n"),
+    lambda text: text.replace("count=2\n", "count=2\ncount=2\n"),
+    lambda text: text.replace("width=", "size="),
+], ids=["parent_format", "count_0", "repeated_key", "unknown_key"])
+def test_manifest_rejects_other_lines(tmp_path, small_model, edit):
+    d = tmp_path / "ds"
+    generate_dataset(8, small_model, 2, d, width=16, height=8)
+    path = d / "manifest.txt"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_manifest(path)
 
 
 def test_manifest_missing_file_detected(tmp_path, small_model):

@@ -9,7 +9,7 @@ from synthface.reconstruct import (IEFConfig, LinearPredictor,
                                    extract_features, ief_reconstruct,
                                    load_predictor, save_predictor,
                                    train_linear_predictor)
-from synthface.render import render_shading_image
+from synthface.render import RasterOutput, render_shading_image
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,35 @@ def test_loop_renders_once_per_iterate(fit_model, corpus, cfg64, monkeypatch):
     assert renders[-1] is res.final_mesh
     assert np.array_equal(res.final_mesh.vertices, synthesize_geometry(
         fit_model, res.final_coefficients(fit_model)).vertices)
+
+
+def test_empty_estimate_render_gives_zero_features(fit_model, corpus, cfg64,
+                                                   monkeypatch):
+    from synthface import reconstruct
+    renders = []
+
+    def render(mesh, pose, width, height):
+        out = render_shading_image(mesh, pose, width, height)
+        renders.append(mesh)
+        if len(renders) == 2:       # the estimate after one step covers no pixel
+            return RasterOutput(np.zeros_like(out.image),
+                                np.zeros_like(out.mask),
+                                np.full_like(out.depth, -np.inf))
+        return out
+
+    monkeypatch.setattr(reconstruct, "render_shading_image", render)
+    seen = []
+
+    def spy(features, alpha):
+        seen.append(features.copy())
+        return alpha + 0.1
+
+    s = corpus[0]
+    res = ief_reconstruct(s.face_image, s.pose, spy, fit_model, cfg64)
+    assert len(res.iterates) == len(renders) == cfg64.iterations + 1
+    assert seen[0].any() and seen[2].any()
+    assert np.array_equal(seen[1], np.zeros(cfg64.feature_dim))
+    assert np.allclose(res.iterates[-1], 0.1 * cfg64.iterations)
 
 
 def test_wrong_predictor_output_rejected(fit_model, corpus, cfg64):
