@@ -21,7 +21,7 @@ from .datagen import (generate_dataset, load_coeff_vector, load_dataset,
                       save_coeff_vector)
 from .evaluate import (format_report, landmark_fit, load_landmarks,
                        error_heatmap, optimal_similarity_align, pointwise_error)
-from .image_io import check_size, names_file, read_pgm, write_pgm, write_ppm
+from .image_io import check_size, read_pgm, write_pgm, write_ppm
 from .mesh_io import load_pose, save_off
 from .model import (GeometryCoefficients, build_procedural_model,
                     synthesize_geometry)
@@ -83,13 +83,6 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-@names_file
-def _heatmap(pose_file, *args):
-    """`error_heatmap` at the image size read from `pose_file`; an error such
-    as a size too large for numpy names that file."""
-    return error_heatmap(*args)
-
-
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     pose, (width, height) = load_pose(args.pose_file)
@@ -112,7 +105,7 @@ def _cmd_eval(args) -> int:
         rows.append((label, report))
         with open(os.path.join(args.out, f"report_{label}.txt"), "w") as f:
             f.write(format_report(report, label))
-        heat = _heatmap(args.pose_file, mesh, report, pose, width, height)
+        heat = error_heatmap(mesh, report, pose, width, height)
         write_ppm(os.path.join(args.out, f"heatmap_{label}.ppm"), heat)
 
     table = f"{'method':<12} {'mean':>12} {'median':>12} {'rms':>12}\n"

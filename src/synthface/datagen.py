@@ -276,8 +276,8 @@ def load_manifest(path) -> DatasetManifest:
     if manifest.count < 1:
         raise ValueError("manifest lists no samples")
     base = os.path.dirname(os.path.abspath(path))
-    for _, *files in manifest.entries:
-        for name in files:
+    for i in range(manifest.count):     # lazily: a huge count stops at a gap
+        for name in _sample_files(i):
             p = os.path.join(base, name)
             if not os.path.exists(p):
                 raise ValueError(f"references missing file {p}")

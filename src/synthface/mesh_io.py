@@ -37,7 +37,8 @@ def save_pose(path, pose: PoseParams, width: int, height: int) -> None:
 def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
     """Pose and (width, height) from one `f` line of 1 value, three `R` rows,
     one `t` line of 3 and one `size` line of 2 integers in [1, 2**32), the
-    range of a predictor file's u32 size fields."""
+    range of a predictor file's u32 size fields, whose product numpy can
+    index."""
     lines = {key: [] for key in POSE_LINES}
     with open(path) as fh:
         for line in fh:
@@ -62,5 +63,8 @@ def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
         raise ValueError(f"image size {width}x{height} is not positive")
     if max(width, height) >= 2**32:
         raise ValueError(f"image size {width}x{height} is above 2**32 - 1")
+    if width * height > np.iinfo(np.intp).max:
+        raise ValueError(f"image size {width}x{height} has more pixels than "
+                         f"numpy can index")
     pose = PoseParams(lines["f"][0][0], np.array(lines["R"]), np.array(lines["t"][0]))
     return pose, (width, height)

@@ -149,7 +149,8 @@ def ief_reconstruct(face_image: np.ndarray,
         raise ValueError(
             f"image shape {face_image.shape} does not match config "
             f"({config.height}, {config.width})")
-    alpha = np.zeros(model.n_id + model.n_exp)
+    n_coeffs = model.n_id + model.n_exp
+    alpha = np.zeros(n_coeffs)
     iterates = [alpha.copy()]
 
     for k in range(config.iterations + 1):
@@ -161,7 +162,7 @@ def ief_reconstruct(face_image: np.ndarray,
         masked = np.where(raster.mask, face_image, 0.0)
         features = extract_features(masked, raster.image, config)
         alpha = np.asarray(predictor(features, alpha), dtype=np.float64)
-        if alpha.shape != iterates[0].shape:
+        if alpha.shape != (n_coeffs,):
             raise ValueError("predictor returned a wrong-sized coefficient vector")
         iterates.append(alpha.copy())
 

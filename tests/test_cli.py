@@ -358,10 +358,13 @@ def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
     lambda ln: None if ln.startswith("model_hash=") else ln,
     lambda ln: "width=wide" if ln.startswith("width=") else ln,
     lambda ln: "count=25" if ln.startswith("count=") else ln,
+    # must stop at the first missing file, not list 10**12 samples first
+    lambda ln: "count=1000000000000" if ln.startswith("count=") else ln,
     # the file list that manifests before the five-line header carried
     lambda ln: ln + "\n\n0 sample_000000_face.pgm sample_000000_shading.pgm "
                "sample_000000_coeffs.bin" if ln.startswith("master_seed=") else ln,
-], ids=["missing_key", "non_integer", "count_over", "parent_entry_line"])
+], ids=["missing_key", "non_integer", "count_over", "count_huge",
+        "parent_entry_line"])
 def test_train_corrupt_manifest_names_file(tmp_path, model_file, pipeline,
                                            capsys, edit):
     data = tmp_path / "data"
@@ -480,8 +483,8 @@ def test_eval_corrupt_landmarks_names_file(tmp_path, model_file, pipeline,
 
 def test_eval_pose_size_beyond_numpy_names_pose_file(tmp_path, model_file,
                                                      pipeline, capsys):
-    # 4294967295² pixels exceed numpy's largest array dimension, so the
-    # heatmap raster fails before it allocates anything
+    # 4294967295² pixels are more than numpy can index, so reading the pose
+    # fails before eval writes a report or allocates an image
     pose = tmp_path / "pose.txt"
     lines = (pipeline / "pose.txt").read_text().splitlines()
     pose.write_text("\n".join(lines[:-1] + ["size 4294967295 4294967295"]) + "\n")
@@ -491,6 +494,7 @@ def test_eval_pose_size_beyond_numpy_names_pose_file(tmp_path, model_file,
              "--out", tmp_path / "ev")
     assert rc == 1
     assert_one_line_error(capsys, pose)
+    assert not (tmp_path / "ev").exists()
 
 
 NUMPY_MESSAGE = ("Unable to allocate 2.00 TiB for an array with shape "

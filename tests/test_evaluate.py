@@ -249,6 +249,16 @@ def test_pose_file_size_must_be_positive(tmp_path, rng):
         load_pose(path)
 
 
+def test_pose_file_size_must_be_indexable(tmp_path, rng):
+    path = tmp_path / "pose.txt"
+    pose = sample_pose(rng, 40.0, 3.0)
+    save_pose(path, pose, 2**32 - 1, 1)
+    assert load_pose(path)[1] == (2**32 - 1, 1)
+    save_pose(path, pose, 2**32 - 1, 2**32 - 1)
+    with pytest.raises(ValueError, match="more pixels than numpy can index"):
+        load_pose(path)
+
+
 def test_pose_file_rejects_garbage(tmp_path):
     path = tmp_path / "pose.txt"
     path.write_text("f 2.0\nq 1 2 3\n")
