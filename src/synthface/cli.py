@@ -87,29 +87,28 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     pose, (width, height) = load_pose(args.pose_file)
     landmarks = load_landmarks(args.landmarks_file, model.n_vertices)
-    coeffs = []
-    for path in (args.gt_coeffs, args.ief_coeffs):
-        vec = load_coeff_vector(path)
-        check_coeffs(path, vec, model)
-        coeffs.append(GeometryCoefficients.from_vector(vec, model.n_id))
-    gt, ief = coeffs
+    paths = (args.gt_coeffs, args.ief_coeffs)
+    gt, ief = (GeometryCoefficients.from_vector(load_coeff_vector(path), model.n_id)
+               for path in paths)
+    for path, coeffs in zip(paths, (gt, ief)):
+        check_coeffs(path, coeffs, model)
     baseline = landmark_fit(landmarks, pose, model, width, height)
 
+    # every report and heatmap is made before --out, so a failure writes nothing
     gt_mesh = synthesize_geometry(model, gt)
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     for label, coeffs in (("ief", ief), ("landmark", baseline)):
         mesh = synthesize_geometry(model, coeffs)
         _, aligned = optimal_similarity_align(mesh, gt_mesh)
         report = pointwise_error(aligned, gt_mesh)
-        rows.append((label, report))
+        rows.append((label, report, error_heatmap(mesh, report, pose, width, height)))
+
+    os.makedirs(args.out, exist_ok=True)
+    table = f"{'method':<12} {'mean':>12} {'median':>12} {'rms':>12}\n"
+    for label, report, heat in rows:
         with open(os.path.join(args.out, f"report_{label}.txt"), "w") as f:
             f.write(format_report(report, label))
-        heat = error_heatmap(mesh, report, pose, width, height)
         write_ppm(os.path.join(args.out, f"heatmap_{label}.ppm"), heat)
-
-    table = f"{'method':<12} {'mean':>12} {'median':>12} {'rms':>12}\n"
-    for label, report in rows:
         table += (f"{label:<12} {report.mean:>12.6g} "
                   f"{report.median:>12.6g} {report.rms:>12.6g}\n")
     with open(os.path.join(args.out, "comparison.txt"), "w") as f:

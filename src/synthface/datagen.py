@@ -136,11 +136,11 @@ def _read_arrays(path):
         if len(data) - pos < 8 * n:
             raise ValueError(f"array {len(arrays)} declares {n} values "
                              f"({8 * n} bytes) but {len(data) - pos} bytes remain")
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=pos).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"array {len(arrays)} contains non-finite values")
-        arrays.append(arr)
+        arrays.append(np.frombuffer(data, dtype="<f8", count=n, offset=pos).copy())
         pos += 8 * n
+    if arrays and not np.isfinite(np.concatenate(arrays)).all():    # one pass
+        bad = next(i for i, a in enumerate(arrays) if not np.isfinite(a).all())
+        raise ValueError(f"array {bad} contains non-finite values")
     return arrays
 
 
@@ -177,11 +177,8 @@ def load_sample_coeffs(path, n_id: int):
         raise ValueError(f"expected 4 arrays (alpha_t, alpha_gt, 13 pose "
                          f"and 7 lighting values), found lengths {sizes}")
     at, agt, pose_vec, light_vec = arrays
-    pose = PoseParams(float(pose_vec[0]), pose_vec[1:10].reshape(3, 3),
-                      pose_vec[10:13])
-    lighting = LightingParams(float(light_vec[0]), float(light_vec[1]),
-                              float(light_vec[2]), float(light_vec[3]),
-                              light_vec[4:7])
+    pose = PoseParams(float(pose_vec[0]), pose_vec[1:10].reshape(3, 3), pose_vec[10:])
+    lighting = LightingParams(*map(float, light_vec[:4]), light_vec[4:])
     return (GeometryCoefficients.from_vector(at, n_id),
             GeometryCoefficients.from_vector(agt, n_id),
             pose, lighting)
@@ -232,18 +229,23 @@ def generate_dataset(master_seed: int,
         raise ValueError(f"image size {width}x{height} must be at least 1x1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    created = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    indices = list(range(count))
     n_jobs = min(workers, count)    # a forked pool starts all workers up front
-    if n_jobs > 1:
-        jobs = [(master_seed, indices[k::n_jobs], out_dir, width, height)
-                for k in range(n_jobs)]
-        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_init_worker,
-                                 initargs=(model,)) as pool:
-            list(pool.map(_generate_range, jobs))
-    else:
-        _generate_range((master_seed, indices, out_dir, width, height), model)
+    jobs = [(master_seed, range(k, count, n_jobs), out_dir, width, height)
+            for k in range(n_jobs)]
+    try:
+        if n_jobs > 1:
+            with ProcessPoolExecutor(max_workers=n_jobs, initializer=_init_worker,
+                                     initargs=(model,)) as pool:
+                list(pool.map(_generate_range, jobs))
+        else:
+            _generate_range(jobs[0], model)
+    except BaseException:   # a run that fails before its first file leaves none
+        if created and not os.listdir(out_dir):
+            os.rmdir(out_dir)
+        raise
 
     manifest = DatasetManifest(model_digest(model), count, width, height,
                                master_seed)
@@ -296,7 +298,7 @@ def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:
             check_size(f, image.shape[::-1], (manifest.width, manifest.height), path)
         at, agt, pose, lighting = load_sample_coeffs(coeff_f, model.n_id)
         for alpha in (at, agt):
-            check_coeffs(coeff_f, alpha.vector, model)
+            check_coeffs(coeff_f, alpha, model)
         samples.append(TrainingSample(face, shading, at, agt, pose,
                                       lighting, sid))
     return samples

@@ -157,18 +157,13 @@ def error_colormap(errors: np.ndarray) -> np.ndarray:
     peak = float(errors.max())
     t = errors / peak if peak > 0 else np.zeros_like(errors)
     t = np.clip(t, 0.0, 1.0)
-    colors = np.zeros((errors.shape[0], 3))
-    colors[:, 0] = t
-    colors[:, 2] = 1.0 - t
-    return colors
+    return np.stack([t, np.zeros_like(t), 1.0 - t], axis=1)
 
 
 def error_heatmap(mesh: Mesh, report: ErrorReport, pose: PoseParams,
                   width: int, height: int) -> np.ndarray:
     """Render the mesh colored by per-vertex error; returns (H, W, 3) image."""
-    colors = error_colormap(report.distances)
-    raster = rasterize(mesh, colors, pose, width, height)
-    return raster.image
+    return rasterize(mesh, error_colormap(report.distances), pose, width, height).image
 
 
 # ---------------------------------------------------------------------------

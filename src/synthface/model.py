@@ -34,7 +34,7 @@ class GeometryCoefficients:
     def __post_init__(self):
         object.__setattr__(self, "alpha_id", np.asarray(self.alpha_id, dtype=np.float64))
         object.__setattr__(self, "alpha_exp", np.asarray(self.alpha_exp, dtype=np.float64))
-        if not (np.all(np.isfinite(self.alpha_id)) and np.all(np.isfinite(self.alpha_exp))):
+        if not (np.isfinite(self.alpha_id).all() and np.isfinite(self.alpha_exp).all()):
             raise ValueError("geometry coefficients must be finite")
 
     @property

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .image_io import names_file
-from .model import MorphableModel
+from .model import GeometryCoefficients, MorphableModel
 
 MAGIC = b"MFM1"
 LANDMARK_MAGIC = b"LMK1"
@@ -104,8 +104,9 @@ def check_model(path, digest: str, model: MorphableModel) -> None:
 
 
 @names_file
-def check_coeffs(path, vec: np.ndarray, model: MorphableModel) -> None:
-    """Reject the file at `path` if `vec` is not one value per shape basis column."""
-    if vec.shape[0] != model.n_id + model.n_exp:
-        raise ValueError(f"{vec.shape[0]} geometry coefficients, expected "
+def check_coeffs(path, coeffs: GeometryCoefficients, model: MorphableModel) -> None:
+    """Reject the file at `path` unless `coeffs` has one value per shape basis column."""
+    n = coeffs.alpha_id.shape[0] + coeffs.alpha_exp.shape[0]
+    if n != model.n_id + model.n_exp:
+        raise ValueError(f"{n} geometry coefficients, expected "
                          f"{model.n_id + model.n_exp} for the model")

@@ -43,8 +43,7 @@ class IEFConfig:
 
     @property
     def feature_dim(self) -> int:
-        k = defaults.FEATURE_DOWNSAMPLE
-        return 2 * (self.width // k) * (self.height // k)
+        return 2 * self.width * self.height // defaults.FEATURE_DOWNSAMPLE ** 2
 
 
 @names_file
@@ -63,22 +62,26 @@ class ReconstructionResult:
         return GeometryCoefficients.from_vector(self.iterates[-1], model.n_id)
 
 
-def _block_mean(img: np.ndarray, k: int) -> np.ndarray:
-    h, w = img.shape
-    return img.reshape(h // k, k, w // k, k).mean(axis=(1, 3)).reshape(-1)
-
-
 def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
                      config: IEFConfig) -> np.ndarray:
-    """Block-averaged pixels of the face channel, then of the shading channel."""
-    expected = (config.height, config.width)
+    """Means of the 8 x 8 blocks of the face channel, then of the shading one.
+
+    Each block row is summed ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and 0.0 plus
+    the 8 row sums, from the top, is divided by 64: for W > 8 the order of
+    numpy's `reshape(H/8, 8, W/8, 8).mean(axis=(1, 3))`.  At W = 8 the row sums
+    are added pairwise instead, and that mean adds each block as one run of 64.
+    """
+    h, w = expected = (config.height, config.width)
     if face_image.shape != expected or shading_image.shape != expected:
         raise ValueError(
             f"image dims {face_image.shape}/{shading_image.shape} do not match "
             f"config {expected}")
-    k = defaults.FEATURE_DOWNSAMPLE
-    return np.concatenate([_block_mean(face_image, k),
-                           _block_mean(shading_image, k)])
+    sums = []
+    for s in (face_image.reshape(-1), shading_image.reshape(-1)):
+        for _ in range(3):      # 8 = 2**3 columns: defaults.FEATURE_DOWNSAMPLE
+            s = s[0::2] + s[1::2]
+        sums.append(s.reshape(h // 8, 8, w // 8).sum(axis=1).reshape(-1))
+    return np.concatenate(sums) / 64
 
 
 @dataclass

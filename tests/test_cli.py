@@ -416,6 +416,34 @@ def test_train_corrupt_sample_coeffs_names_file(tmp_path, model_file, pipeline,
     assert_one_line_error(capsys, bad)
 
 
+def _long_alpha_gt(data):
+    # alpha_gt, the second array, gains one value
+    n = struct.unpack_from("<I", data, 0)[0]
+    gt = 4 + 8 * n
+    m = struct.unpack_from("<I", data, gt)[0]
+    end = gt + 4 + 8 * m
+    return data[:gt] + struct.pack("<I", m + 1) + data[gt + 4:end] + \
+        struct.pack("<d", 0.5) + data[end:]
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_nan_at(4), "array 0 contains non-finite values"),            # alpha_t[0]
+    (_nan_at(4 + 8 * 15 + 4 + 8 * 14), "array 1 contains non-finite values"),
+    (_long_alpha_gt, "16 geometry coefficients, expected 15 for the model"),
+], ids=["nan_alpha_t", "nan_alpha_gt_last", "long_alpha_gt"])
+def test_train_bad_coefficient_gives_its_reason(tmp_path, model_file, pipeline,
+                                                capsys, corrupt, reason):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    bad = data / "sample_000007_coeffs.bin"
+    bad.write_bytes(corrupt(bad.read_bytes()))
+    rc = run("train", "--model", model_file, "--dataset", data,
+             "--out", tmp_path / "p.prd")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+    assert not (tmp_path / "p.prd").exists()
+
+
 @pytest.mark.parametrize("name", ["sample_000003_face.pgm",
                                   "sample_000003_shading.pgm"])
 def test_train_wrong_image_size_names_file(tmp_path, model_file, pipeline,
@@ -536,6 +564,43 @@ def test_make_eval_inputs_out_of_memory_is_one_line(tmp_path, model_file,
         runpy.run_path(MAKE_EVAL_INPUTS, run_name="__main__")
     # a string exit code is printed to stderr and exits with status 1
     assert exit_.value.code == f"error: {message}"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_datagen_failure_removes_the_directory_it_made(tmp_path, model_file,
+                                                       capsys, monkeypatch,
+                                                       workers):
+    fail_to_allocate(monkeypatch, MemoryError())
+    for out, kept in ((tmp_path / "new", False), (tmp_path / "empty", True)):
+        if kept:
+            out.mkdir()
+        rc = run("datagen", "--model", model_file, "--out", out, "--count", 2,
+                 "--width", 16, "--height", 16, "--workers", workers)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        # an empty directory that was there before is the caller's to keep
+        assert out.exists() == kept
+        assert not kept or not any(out.iterdir())
+
+
+def test_eval_failing_heatmap_writes_no_output(tmp_path, model_file, pipeline,
+                                               capsys, monkeypatch):
+    from synthface import evaluate
+    original, rasters = evaluate.rasterize, []
+
+    def rasterize(*args):
+        rasters.append(args)    # the IEF heatmap renders, the landmark one fails
+        if len(rasters) == 2:
+            raise MemoryError()
+        return original(*args)
+    monkeypatch.setattr(evaluate, "rasterize", rasterize)
+    rc = run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
+             "--ief-coeffs", pipeline / "gt.bin",
+             "--landmarks-file", pipeline / "lms.txt",
+             "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev")
+    assert rc == 1 and len(rasters) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not (tmp_path / "ev").exists()
 
 
 def make_eval_inputs(model, out, *args):

@@ -58,6 +58,27 @@ def test_features_checkerboard(cfg64):
     assert np.allclose(finer[:64], 0.5)
 
 
+@pytest.mark.parametrize("width, height", [(16, 8), (64, 56), (64, 64),
+                                           (200, 200)])
+def test_features_equal_numpy_block_mean_bit_for_bit(rng, width, height):
+    """The pooled features are numpy's 4-D block mean to the last bit, signed
+    zeros and overflow included."""
+    shape = (height, width)
+    face = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    face[rng.random(shape) < 0.3] = -0.0
+    face[:8, :8] = -0.0                 # a block of -0.0 alone pools to +0.0
+    shading = np.round(rng.random(shape) * 255) / 255     # a quantized render
+    shading[-8:, -8:] = -1.7e308        # a block whose sum overflows
+    with np.errstate(over="ignore"):
+        expected = np.concatenate([
+            img.reshape(height // 8, 8, width // 8, 8).mean(axis=(1, 3)).reshape(-1)
+            for img in (face, shading)])
+        got = extract_features(face, shading, IEFConfig(width=width, height=height))
+    assert got.tobytes() == expected.tobytes()
+    assert got[0] == 0.0 and not np.signbit(got[0])
+    assert got[-1] == -np.inf
+
+
 def test_features_shape_mismatch(cfg64):
     with pytest.raises(ValueError):
         extract_features(np.zeros((32, 32)), np.zeros((64, 64)), cfg64)

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Run the README walkthrough, two 200x200 datagens (with the walkthrough's
 # model and with the default paper-size one), a training on the first of them
-# and `synthface defaults` with the synthface package and demos of the
-# checkout SRC_DIR, writing into OUT_DIR (which must not exist yet), then
-# print one "sha256  path" line for every file written.
-# The stdout of `eval` and of `defaults` is saved as eval.stdout and
-# defaults.stdout, so it is covered too.  BLAS and OpenMP run one thread each.
+# with a reconstruction and an eval of one 200x200 face, and `synthface
+# defaults` with the synthface package and demos of the checkout SRC_DIR,
+# writing into OUT_DIR (which must not exist yet), then print one
+# "sha256  path" line for every file written.
+# The stdout of each `eval` and of `defaults` is saved as eval.stdout,
+# eval200.stdout and defaults.stdout, so it is covered too.  BLAS and OpenMP
+# run one thread each.
 #
 #   tools/walkthrough_digests.sh ../parent out_parent > parent.txt
 #   tools/walkthrough_digests.sh .         out_change > change.txt
@@ -50,6 +52,16 @@ synthface eval --model model.mfm --gt-coeffs eval_inputs/gt.bin \
     --ief-coeffs recon/coefficients.bin \
     --landmarks-file eval_inputs/landmarks.txt \
     --pose-file eval_inputs/pose.txt --out report > eval.stdout
+# the IEF loop and its pooling at the benchmark's image size
+python3 "$src/demos/make_eval_inputs.py" --model model.mfm --out eval_inputs200 \
+    --seed 124 --width 200 --height 200 > /dev/null
+synthface reconstruct --model model.mfm --predictor predictor200.prd \
+    --image eval_inputs200/face.pgm --pose-file eval_inputs200/pose.txt \
+    --out recon200 > /dev/null
+synthface eval --model model.mfm --gt-coeffs eval_inputs200/gt.bin \
+    --ief-coeffs recon200/coefficients.bin \
+    --landmarks-file eval_inputs200/landmarks.txt \
+    --pose-file eval_inputs200/pose.txt --out report200 > eval200.stdout
 synthface defaults > defaults.stdout
 
 find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum
