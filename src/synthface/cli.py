@@ -66,6 +66,7 @@ def _cmd_reconstruct(args) -> int:
     model = load_model(args.model)
     predictor = load_predictor(args.predictor)
     check_model(args.predictor, predictor.model_digest, model)
+    check_coeffs(args.predictor, predictor.n_coeffs, model)
     image = read_pgm(args.image)
     size = image.shape[::-1]
     check_size(args.image, size, (predictor.width, predictor.height),
@@ -91,7 +92,7 @@ def _cmd_eval(args) -> int:
     gt, ief = (GeometryCoefficients.from_vector(load_coeff_vector(path), model.n_id)
                for path in paths)
     for path, coeffs in zip(paths, (gt, ief)):
-        check_coeffs(path, coeffs, model)
+        check_coeffs(path, coeffs.vector.size, model)
     baseline = landmark_fit(landmarks, pose, model, width, height)
 
     # every report and heatmap is made before --out, so a failure writes nothing

@@ -261,7 +261,8 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 
 @names_file
 def load_manifest(path) -> DatasetManifest:
-    """The header; sample i's files are `_sample_files(i)` beside `path`."""
+    """The header only; sample i's files are `_sample_files(i)` beside `path`,
+    and `load_dataset` finds a missing one as it opens them."""
     header = {}
     with open(path) as f:
         for n, line in enumerate(f, 1):
@@ -277,12 +278,9 @@ def load_manifest(path) -> DatasetManifest:
                                *(int(header[key]) for key in MANIFEST_KEYS[1:]))
     if manifest.count < 1:
         raise ValueError("manifest lists no samples")
-    base = os.path.dirname(os.path.abspath(path))
-    for i in range(manifest.count):     # lazily: a huge count stops at a gap
-        for name in _sample_files(i):
-            p = os.path.join(base, name)
-            if not os.path.exists(p):
-                raise ValueError(f"references missing file {p}")
+    if min(manifest.width, manifest.height) < 1:
+        raise ValueError(f"image size {manifest.width}x{manifest.height} "
+                         "must be at least 1x1")
     return manifest
 
 
@@ -291,14 +289,18 @@ def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:
     manifest = load_manifest(path)
     check_model(path, manifest.model_hash, model)
     samples = []
-    for sid, *files in manifest.entries:
-        face_f, shade_f, coeff_f = (os.path.join(dataset_dir, f) for f in files)
-        face, shading = read_pgm(face_f), read_pgm(shade_f)
+    for sid in range(manifest.count):   # lazily: a huge count stops at a gap
+        face_f, shade_f, coeff_f = (os.path.join(dataset_dir, f)
+                                    for f in _sample_files(sid))
+        try:
+            face, shading = read_pgm(face_f), read_pgm(shade_f)
+            at, agt, pose, lighting = load_sample_coeffs(coeff_f, model.n_id)
+        except FileNotFoundError as exc:
+            raise ValueError(f"{path}: references missing file {exc.filename}") from None
         for f, image in ((face_f, face), (shade_f, shading)):
             check_size(f, image.shape[::-1], (manifest.width, manifest.height), path)
-        at, agt, pose, lighting = load_sample_coeffs(coeff_f, model.n_id)
         for alpha in (at, agt):
-            check_coeffs(coeff_f, alpha, model)
+            check_coeffs(coeff_f, alpha.alpha_id.size + alpha.alpha_exp.size, model)
         samples.append(TrainingSample(face, shading, at, agt, pose,
                                       lighting, sid))
     return samples

@@ -1,8 +1,8 @@
-"""Default pipeline configuration constants.
+"""Pipeline constants, one source for the CLI, the library and the checks.
 
-All tunable constants live here so that the CLI, the library defaults and the
-conformance checks agree on a single source of truth.  `default_config()`
-dumps every upper-case name defined here, lower-cased and in order, as a dict.
+The tunable defaults and the fixed IEF_ITERATIONS and FEATURE_DOWNSAMPLE, which
+no option changes.  `default_config()` dumps every upper-case name defined
+here, lower-cased and in order, as a dict.
 """
 
 # Model dimensions

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .image_io import names_file
-from .model import GeometryCoefficients, MorphableModel
+from .model import MorphableModel
 
 MAGIC = b"MFM1"
 LANDMARK_MAGIC = b"LMK1"
@@ -104,9 +104,8 @@ def check_model(path, digest: str, model: MorphableModel) -> None:
 
 
 @names_file
-def check_coeffs(path, coeffs: GeometryCoefficients, model: MorphableModel) -> None:
-    """Reject the file at `path` unless `coeffs` has one value per shape basis column."""
-    n = coeffs.alpha_id.shape[0] + coeffs.alpha_exp.shape[0]
+def check_coeffs(path, n: int, model: MorphableModel) -> None:
+    """Reject the file at `path` unless its `n` coefficients match the shape basis."""
     if n != model.n_id + model.n_exp:
         raise ValueError(f"{n} geometry coefficients, expected "
                          f"{model.n_id + model.n_exp} for the model")

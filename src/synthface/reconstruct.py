@@ -29,13 +29,11 @@ from .render import PoseParams, render_shading_image
 
 @dataclass(frozen=True)
 class IEFConfig:
-    iterations: int = defaults.IEF_ITERATIONS
     width: int = defaults.IMAGE_WIDTH
     height: int = defaults.IMAGE_HEIGHT
+    iterations = defaults.IEF_ITERATIONS    # fixed, so a constant and not a field
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         k = defaults.FEATURE_DOWNSAMPLE
         if min(self.width, self.height) < 1 or self.width % k or self.height % k:
             raise ValueError(f"image size {self.width}x{self.height} is not a "
@@ -145,9 +143,8 @@ def ief_reconstruct(face_image: np.ndarray,
                     pose: PoseParams,
                     predictor: Callable,
                     model: MorphableModel,
-                    config: IEFConfig | None = None) -> ReconstructionResult:
+                    config: IEFConfig) -> ReconstructionResult:
     """Run the error-feedback loop from the mean face."""
-    config = config or IEFConfig()
     if face_image.shape != (config.height, config.width):
         raise ValueError(
             f"image shape {face_image.shape} does not match config "

@@ -19,7 +19,8 @@ from synthface.evaluate import (landmark_fit, load_landmarks,
 from synthface.image_io import write_pgm
 from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import GeometryCoefficients, synthesize_geometry
-from synthface.model_io import load_model, model_chunks, model_from_bytes
+from synthface.model_io import (load_model, model_chunks, model_digest,
+                               model_from_bytes)
 from synthface.reconstruct import LinearPredictor, save_predictor
 from synthface.render import render_shading_image
 from synthface.datagen import generate_sample, rng_for_sample
@@ -217,10 +218,13 @@ def test_train_rejects_size_off_the_pooling_grid(tmp_path, model_file, capsys):
     assert not out.exists()
 
 
-def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys):
-    # 12 coefficients and another model's digest; the model file has 15
+@pytest.mark.parametrize("own_digest", [False, True],
+                         ids=["other_digest", "model_digest_wrong_count"])
+def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys, own_digest):
+    # 12 coefficients; the model file has 15
+    digest = model_digest(load_model(model_file)) if own_digest else "0" * 64
     wrong = LinearPredictor(np.zeros((12, 128 + 12)), np.zeros(12), 64, 64,
-                            "0" * 64)
+                            digest)
     ppath = tmp_path / "wrong.prd"
     save_predictor(ppath, wrong)
     img = tmp_path / "img.pgm"
@@ -360,11 +364,13 @@ def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
     lambda ln: "count=25" if ln.startswith("count=") else ln,
     # must stop at the first missing file, not list 10**12 samples first
     lambda ln: "count=1000000000000" if ln.startswith("count=") else ln,
+    lambda ln: "width=0" if ln.startswith("width=") else ln,
+    lambda ln: "height=-64" if ln.startswith("height=") else ln,
     # the file list that manifests before the five-line header carried
     lambda ln: ln + "\n\n0 sample_000000_face.pgm sample_000000_shading.pgm "
                "sample_000000_coeffs.bin" if ln.startswith("master_seed=") else ln,
-], ids=["missing_key", "non_integer", "count_over", "count_huge",
-        "parent_entry_line"])
+], ids=["missing_key", "non_integer", "count_over", "count_huge", "width_0",
+        "height_negative", "parent_entry_line"])
 def test_train_corrupt_manifest_names_file(tmp_path, model_file, pipeline,
                                            capsys, edit):
     data = tmp_path / "data"

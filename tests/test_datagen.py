@@ -224,12 +224,25 @@ def test_manifest_rejects_other_lines(tmp_path, small_model, edit):
         load_manifest(path)
 
 
-def test_manifest_missing_file_detected(tmp_path, small_model):
+def test_manifest_reads_only_the_header(tmp_path, small_model):
+    d = tmp_path / "ds"
+    written = generate_dataset(8, small_model, 2, d, width=64, height=64)
+    for name in os.listdir(d):
+        if name != "manifest.txt":
+            os.remove(d / name)
+    assert load_manifest(d / "manifest.txt") == written
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["face", "shading", "coeffs"])
+def test_load_dataset_names_missing_file(tmp_path, small_model, kind):
     d = tmp_path / "ds"
     generate_dataset(8, small_model, 2, d, width=64, height=64)
-    os.remove(d / "sample_000001_face.pgm")
-    with pytest.raises(ValueError, match="references missing file"):
-        load_manifest(d / "manifest.txt")
+    missing = os.path.join(d, _sample_files(1)[kind])
+    os.remove(missing)
+    with pytest.raises(ValueError) as exc:
+        load_dataset(d, small_model)
+    assert str(exc.value) == (f"{os.path.join(d, 'manifest.txt')}: "
+                              f"references missing file {missing}")
 
 
 def test_load_dataset_rejects_wrong_model(tmp_path, small_model, fit_model):
