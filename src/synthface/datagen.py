@@ -51,6 +51,13 @@ class DatasetManifest:
     height: int
     master_seed: int
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+        if min(self.width, self.height) < 1:
+            raise ValueError(f"image size {self.width}x{self.height} "
+                             "must be at least 1x1")
+
     @property
     def entries(self) -> list:
         """(sample_id, face_file, shading_file, coeff_file) for each sample."""
@@ -138,9 +145,6 @@ def _read_arrays(path):
                              f"({8 * n} bytes) but {len(data) - pos} bytes remain")
         arrays.append(np.frombuffer(data, dtype="<f8", count=n, offset=pos).copy())
         pos += 8 * n
-    if arrays and not np.isfinite(np.concatenate(arrays)).all():    # one pass
-        bad = next(i for i, a in enumerate(arrays) if not np.isfinite(a).all())
-        raise ValueError(f"array {bad} contains non-finite values")
     return arrays
 
 
@@ -154,6 +158,8 @@ def load_coeff_vector(path) -> np.ndarray:
     arrays = _read_arrays(path)
     if len(arrays) != 1:
         raise ValueError(f"expected one coefficient array, found {len(arrays)}")
+    if not np.isfinite(arrays[0]).all():    # no type checks a bare array
+        raise ValueError("coefficients contain non-finite values")
     return arrays[0]
 
 
@@ -223,10 +229,8 @@ def generate_dataset(master_seed: int,
                      height: int = defaults.IMAGE_HEIGHT,
                      workers: int = 1) -> DatasetManifest:
     """Write `count` samples plus a manifest; bytes independent of `workers`."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if min(width, height) < 1:
-        raise ValueError(f"image size {width}x{height} must be at least 1x1")
+    manifest = DatasetManifest(model_digest(model), count, width, height,
+                               master_seed)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     created = not os.path.exists(out_dir)
@@ -247,8 +251,6 @@ def generate_dataset(master_seed: int,
             os.rmdir(out_dir)
         raise
 
-    manifest = DatasetManifest(model_digest(model), count, width, height,
-                               master_seed)
     save_manifest(os.path.join(out_dir, "manifest.txt"), manifest)
     return manifest
 
@@ -274,14 +276,8 @@ def load_manifest(path) -> DatasetManifest:
     missing = [key for key in MANIFEST_KEYS if key not in header]
     if missing:
         raise ValueError(f"missing header keys {', '.join(missing)}")
-    manifest = DatasetManifest(header["model_hash"],
-                               *(int(header[key]) for key in MANIFEST_KEYS[1:]))
-    if manifest.count < 1:
-        raise ValueError("manifest lists no samples")
-    if min(manifest.width, manifest.height) < 1:
-        raise ValueError(f"image size {manifest.width}x{manifest.height} "
-                         "must be at least 1x1")
-    return manifest
+    return DatasetManifest(header["model_hash"],
+                           *(int(header[key]) for key in MANIFEST_KEYS[1:]))
 
 
 def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:

@@ -31,6 +31,10 @@ class LandmarkSet:
             raise ValueError("need at least 3 landmarks")
         if self.image_points.shape != (self.vertex_indices.shape[0], 2):
             raise ValueError("image_points must be (K, 2)")
+        if self.vertex_indices.min() < 0:
+            raise ValueError("landmark vertex indices must be >= 0")
+        if not np.isfinite(self.image_points).all():
+            raise ValueError("landmark image points must be finite")
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,8 @@ def landmark_fit(landmarks: LandmarkSet,
     Minimizes the squared pixel distance between projected model landmark
     vertices and the annotated points, plus lambda_reg * ||alpha||^2.
     """
-    if lambda_reg <= 0:
-        raise ValueError("lambda_reg must be > 0")
+    if not 0 < lambda_reg < np.inf:
+        raise ValueError("lambda_reg must be finite and > 0")
     if landmarks.vertex_indices.max() >= model.n_vertices:
         raise ValueError("landmark vertex index out of range")
     k = landmarks.vertex_indices.shape[0]
@@ -191,10 +195,7 @@ def load_landmarks(path, n_vertices: int) -> LandmarkSet:
                 raise ValueError(f"landmark vertex index {idx} out of range for "
                                  f"{n_vertices} vertices")
             points.append((float(px), float(py)))
-    landmarks = LandmarkSet(np.array(indices), np.array(points))
-    if not np.all(np.isfinite(landmarks.image_points)):
-        raise ValueError("landmark coordinates contain non-finite values")
-    return landmarks
+    return LandmarkSet(np.array(indices), np.array(points))
 
 
 def format_report(report: ErrorReport, label: str = "") -> str:

@@ -53,8 +53,6 @@ def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
             if len(values) != n:
                 raise ValueError(f"pose line {line.strip()!r} has {len(values)} "
                                  f"values, expected {n}")
-            if parse is float and not np.all(np.isfinite(values)):
-                raise ValueError(f"pose line {line.strip()!r} has a non-finite value")
             lines[key].append(values)
     if [len(lines[key]) for key in lines] != [1, 3, 1, 1]:
         raise ValueError("pose file must contain f, three R rows, t and size")

@@ -41,7 +41,8 @@ class IEFConfig:
 
     @property
     def feature_dim(self) -> int:
-        return 2 * self.width * self.height // defaults.FEATURE_DOWNSAMPLE ** 2
+        return (defaults.INPUT_CHANNELS * self.width * self.height
+                // defaults.FEATURE_DOWNSAMPLE ** 2)
 
 
 @names_file
@@ -169,8 +170,7 @@ def ief_reconstruct(face_image: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # PRD4 predictor file: magic, u32 width, height, n_coeffs, the 32-byte model
-# digest, then float64 weight (row-major) and bias.  PRD3 also recorded a
-# pooling factor, and PRD2 had one more weight column for a constant feature.
+# digest, then float64 weight (row-major) and bias.
 
 PREDICTOR_MAGIC = b"PRD4"
 HEADER = struct.Struct("<4s3I32s")

@@ -35,12 +35,15 @@ class PoseParams:
         t = np.asarray(self.translation, dtype=np.float64)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if self.f <= 0:
-            raise ValueError("pose scale f must be > 0")
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-10:
+        # each test is written so that NaN fails it; an inf would make r.T @ r warn
+        if not 0 < self.f < np.inf:
+            raise ValueError("pose scale f must be finite and > 0")
+        if not (np.isfinite(r).all() and np.abs(r.T @ r - np.eye(3)).max() <= 1e-10):
             raise ValueError("rotation is not orthogonal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-10:
+        if not abs(np.linalg.det(r) - 1.0) <= 1e-10:
             raise ValueError("rotation determinant must be +1")
+        if t.shape != (3,) or not np.isfinite(t).all():
+            raise ValueError("translation must be 3 finite values")
 
     @classmethod
     def identity(cls, f: float = 1.0) -> "PoseParams":
@@ -58,12 +61,13 @@ class LightingParams:
     def __post_init__(self):
         d = np.asarray(self.light_dir, dtype=np.float64)
         object.__setattr__(self, "light_dir", d)
-        if min(self.k_ambient, self.k_diffuse, self.k_specular) < 0:
-            raise ValueError("reflectance constants must be >= 0")
-        if self.shininess <= 0:
-            raise ValueError("shininess must be > 0")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-10:
-            raise ValueError("light_dir must be a unit vector")
+        if not all(0 <= k < np.inf for k in
+                   (self.k_ambient, self.k_diffuse, self.k_specular)):
+            raise ValueError("reflectance constants must be finite and >= 0")
+        if not 0 < self.shininess < np.inf:
+            raise ValueError("shininess must be finite and > 0")
+        if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-10:
+            raise ValueError("light_dir must be a unit 3-vector")
 
 
 @dataclass

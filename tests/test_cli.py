@@ -179,7 +179,7 @@ def test_train_empty_dataset(tmp_path, model_file, capsys):
              "--out", tmp_path / "p.prd")
     assert rc == 1
     assert capsys.readouterr().err == \
-        f"error: {manifest}: manifest lists no samples\n"
+        f"error: {manifest}: count must be >= 1\n"
 
 
 def test_train_missing_sample_file_names_manifest(tmp_path, model_file, pipeline,
@@ -340,6 +340,7 @@ def _text_lines(edit):
     ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 64.0 64"])),
     ("pose.txt", _text_lines(lambda ls: ["f nan"] + ls[1:])),
     ("pose.txt", _text_lines(lambda ls: ls[:-2] + ["t inf 0 0"] + ls[-1:])),
+    ("pose.txt", _text_lines(lambda ls: ls[:1] + ["R inf 0 0"] + ls[2:])),
     ("pose.txt", _text_lines(lambda ls: ls[:-1] + ["size 99999999999999999999 64"])),
     # a valid image or pose made for another size than the 64x64 predictor's
     ("face.pgm", lambda data: b"P5\n128 128\n255\n" + bytes(128 * 128)),
@@ -347,7 +348,9 @@ def _text_lines(edit):
 ], ids=["pgm_cut_1000", "pgm_trailing", "pose_f_abc", "pose_f_two_values",
         "pose_R_scaled", "pose_R_two_values", "pose_t_four_values",
         "pose_no_size", "pose_two_sizes", "pose_size_float", "pose_f_nan",
-        "pose_t_inf", "pose_size_huge", "pgm_128x128", "pose_size_200"])
+        "pose_t_inf", "pose_R_inf", "pose_size_huge", "pgm_128x128",
+        "pose_size_200"])
+@pytest.mark.filterwarnings("error")    # a warning would be a second stderr line
 def test_reconstruct_corrupt_input_names_file(tmp_path, model_file, pipeline,
                                               capsys, name, corrupt):
     for f in ("p.prd", "face.pgm", "pose.txt"):
@@ -433,10 +436,15 @@ def _long_alpha_gt(data):
 
 
 @pytest.mark.parametrize("corrupt, reason", [
-    (_nan_at(4), "array 0 contains non-finite values"),            # alpha_t[0]
-    (_nan_at(4 + 8 * 15 + 4 + 8 * 14), "array 1 contains non-finite values"),
+    (_nan_at(4), "geometry coefficients must be finite"),          # alpha_t[0]
+    (_nan_at(4 + 8 * 15 + 4 + 8 * 14), "geometry coefficients must be finite"),
     (_long_alpha_gt, "16 geometry coefficients, expected 15 for the model"),
-], ids=["nan_alpha_t", "nan_alpha_gt_last", "long_alpha_gt"])
+    # the pose's f, then the lighting's first light_dir value, from the end
+    (lambda data: _nan_at(len(data) - 8 * 13 - 4 - 8 * 7)(data),
+     "pose scale f must be finite and > 0"),
+    (lambda data: _nan_at(len(data) - 8 * 3)(data), "light_dir must be a unit 3-vector"),
+], ids=["nan_alpha_t", "nan_alpha_gt_last", "long_alpha_gt", "nan_pose_f",
+        "nan_light_dir"])
 def test_train_bad_coefficient_gives_its_reason(tmp_path, model_file, pipeline,
                                                 capsys, corrupt, reason):
     data = tmp_path / "data"

@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from synthface.datagen import (_sample_files, generate_dataset,
-                               generate_sample, load_coeff_vector,
-                               load_dataset, load_manifest,
+from synthface.datagen import (DatasetManifest, _sample_files,
+                               generate_dataset, generate_sample,
+                               load_coeff_vector, load_dataset, load_manifest,
                                load_sample_coeffs, rng_for_sample,
                                sample_intermediate, save_coeff_vector,
                                save_sample_coeffs)
@@ -255,3 +255,12 @@ def test_load_dataset_rejects_wrong_model(tmp_path, small_model, fit_model):
 def test_generate_dataset_rejects_bad_count(tmp_path, small_model):
     with pytest.raises(ValueError):
         generate_dataset(1, small_model, 0, tmp_path / "x")
+
+
+@pytest.mark.parametrize("count, width, reason", [
+    (0, 16, "count must be >= 1"),
+    (2, 0, "image size 0x16 must be at least 1x1"),
+], ids=["count_0", "width_0"])
+def test_manifest_rejects_empty_dataset(count, width, reason):
+    with pytest.raises(ValueError, match=reason):
+        DatasetManifest("0" * 64, count, width, 16, 0)

@@ -79,6 +79,25 @@ def test_landmark_set_validation():
         LandmarkSet(np.array([1, 2, 3]), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("indices, points, reason", [
+    ([-1, 2, 3], np.zeros((3, 2)), "indices must be >= 0"),
+    ([1, 2, 3], np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]]), "finite"),
+], ids=["index_negative", "point_nan"])
+def test_landmark_set_rejects_bad_values(indices, points, reason):
+    with pytest.raises(ValueError, match=reason):
+        LandmarkSet(np.array(indices), points)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_landmark_fit_rejects_bad_penalty(fit_model, lam):
+    lms = project_landmarks(fit_model, GeometryCoefficients.zeros(30, 10),
+                            PoseParams.identity(40.0), 64, 64,
+                            fit_model.landmark_indices)
+    with pytest.raises(ValueError, match="lambda_reg must be finite and > 0"):
+        landmark_fit(lms, PoseParams.identity(40.0), fit_model, 64, 64,
+                     lambda_reg=lam)
+
+
 # ---------------------------------------------------------------------------
 # Procrustes alignment
 

@@ -30,6 +30,41 @@ def test_pose_validation():
         PoseParams(1.0, refl, np.zeros(3))
 
 
+def _rotation_with(value):
+    r = np.eye(3)
+    r[1, 2] = value
+    return r
+
+
+@pytest.mark.parametrize("f, rotation, translation, reason", [
+    (np.nan, np.eye(3), np.zeros(3), "pose scale f"),
+    (np.inf, np.eye(3), np.zeros(3), "pose scale f"),
+    (0.0, np.eye(3), np.zeros(3), "pose scale f"),
+    (1.0, _rotation_with(np.nan), np.zeros(3), "not orthogonal"),
+    (1.0, _rotation_with(np.inf), np.zeros(3), "not orthogonal"),
+    (1.0, np.eye(3), np.ones(1), "translation"),
+    (1.0, np.eye(3), np.ones(2), "translation"),
+    (1.0, np.eye(3), np.array([0.0, np.nan, 0.0]), "translation"),
+], ids=["f_nan", "f_inf", "f_0", "rotation_nan", "rotation_inf",
+        "translation_1", "translation_2", "translation_nan"])
+def test_pose_rejects_non_finite_and_misshapen_values(f, rotation, translation,
+                                                      reason):
+    with pytest.raises(ValueError, match=reason):
+        PoseParams(f, rotation, translation)
+
+
+@pytest.mark.parametrize("k_a, k_d, shininess, light_dir, reason", [
+    (0.5, np.nan, 10.0, [0.0, 0.0, 1.0], "reflectance"),
+    (np.inf, 0.7, 10.0, [0.0, 0.0, 1.0], "reflectance"),
+    (0.5, 0.7, np.nan, [0.0, 0.0, 1.0], "shininess"),
+    (0.5, 0.7, 10.0, [0.6, 0.8], "light_dir"),
+], ids=["k_d_nan", "k_a_inf", "shininess_nan", "light_dir_2"])
+def test_lighting_rejects_non_finite_and_misshapen_values(k_a, k_d, shininess,
+                                                          light_dir, reason):
+    with pytest.raises(ValueError, match=reason):
+        LightingParams(k_a, k_d, 0.05, shininess, np.array(light_dir))
+
+
 def test_projection_identity_pose():
     mesh = Mesh(np.array([[3.0, 4.0, 9.0]]), np.zeros((0, 3), dtype=np.int64))
     pts, depth = project_vertices(mesh, PoseParams.identity(), 64, 48)
