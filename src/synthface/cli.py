@@ -52,7 +52,7 @@ def _cmd_datagen(args) -> int:
 def _cmd_train(args) -> int:
     model = load_model(args.model)
     samples = load_dataset(args.dataset, model)
-    h, w = samples[0].face_image.shape
+    h, w = samples[0].face_pixels.shape
     config = pooled_config(os.path.join(args.dataset, "manifest.txt"), w, h)
     predictor = train_linear_predictor(samples, model, config,
                                        ridge_lambda=args.ridge)

@@ -3,9 +3,10 @@
 Each sample pairs a rendered, masked grayscale face image (ground-truth
 geometry alpha_gt) with the shading image of an intermediate geometry alpha_t
 drawn between a random geometry and alpha_gt, both projected with the same
-pose.  Sample i uses an RNG stream derived from (master_seed, i), so the
-output bytes are independent of generation order and worker count, and its
-files are named by i, so a dataset's manifest lists no files.
+pose.  A sample holds both images as the 8-bit pixels its PGM files store.
+Sample i uses an RNG stream derived from (master_seed, i), so the output
+bytes are independent of generation order and worker count, and its files
+are named by i, so a dataset's manifest lists no files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import defaults
-from .image_io import check_size, names_file, quantize, read_pgm, write_pgm
+from .image_io import check_size, names_file, read_pgm_pixels, to_pixels, write_pgm
 from .model import (GeometryCoefficients, MorphableModel,
                     sample_geometry_coefficients, sample_texture_coefficients,
                     synthesize_geometry, synthesize_texture)
@@ -33,13 +34,18 @@ MAX_POSE_RETRIES = 8
 
 @dataclass
 class TrainingSample:
-    face_image: np.ndarray      # (H, W) grayscale, zero outside the alpha_t mask
-    shading_image: np.ndarray   # (H, W) grayscale of the alpha_t geometry
+    """One sample, its images held as (H, W) uint8 pixels.  `face_image` and
+    `shading_image` are them as floats k/255, computed on each access."""
+    face_pixels: np.ndarray     # zero outside the alpha_t mask
+    shading_pixels: np.ndarray  # the alpha_t geometry's shading render
     alpha_t: GeometryCoefficients
     alpha_gt: GeometryCoefficients
     pose: PoseParams
     lighting: LightingParams
     sample_id: int
+
+    face_image = property(lambda self: self.face_pixels / 255.0)
+    shading_image = property(lambda self: self.shading_pixels / 255.0)
 
 
 @dataclass
@@ -107,11 +113,10 @@ def generate_sample(rng: np.random.Generator,
         raise RuntimeError(
             f"no non-degenerate pose found in {MAX_POSE_RETRIES} attempts")
 
-    face = quantize(face_raster.image)
-    face[~shading_raster.mask] = 0.0
-    shading = quantize(shading_raster.image)
-    return TrainingSample(face, shading, alpha_t, alpha_gt,
-                          pose, lighting, sample_id)
+    face = to_pixels(face_raster.image)
+    face[~shading_raster.mask] = 0
+    return TrainingSample(face, to_pixels(shading_raster.image), alpha_t,
+                          alpha_gt, pose, lighting, sample_id)
 
 
 def rng_for_sample(master_seed: int, index: int) -> np.random.Generator:
@@ -289,7 +294,7 @@ def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:
         face_f, shade_f, coeff_f = (os.path.join(dataset_dir, f)
                                     for f in _sample_files(sid))
         try:
-            face, shading = read_pgm(face_f), read_pgm(shade_f)
+            face, shading = read_pgm_pixels(face_f), read_pgm_pixels(shade_f)
             at, agt, pose, lighting = load_sample_coeffs(coeff_f, model.n_id)
         except FileNotFoundError as exc:
             raise ValueError(f"{path}: references missing file {exc.filename}") from None

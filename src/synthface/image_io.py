@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 import struct
 
 import numpy as np
@@ -27,18 +28,14 @@ def check_size(path, size: tuple, expected: tuple, source) -> None:
                          f"{expected[0]}x{expected[1]} of {source}")
 
 
-def _to_u8(img: np.ndarray) -> np.ndarray:
+def to_pixels(img: np.ndarray) -> np.ndarray:
+    """8-bit pixels k = round(255 x) of float image values x in [0,1]."""
     return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-
-
-def quantize(img: np.ndarray) -> np.ndarray:
-    """Snap float image values in [0,1] to the 8-bit grid (k/255)."""
-    return _to_u8(img) / 255.0
 
 
 def _write_pnm(path, magic: str, img: np.ndarray, channels: tuple) -> None:
     """Binary PNM of an (H, W) + `channels` image with float values in [0,1]."""
-    data = _to_u8(img)
+    data = to_pixels(img)
     h, w = data.shape[:2]
     if data.shape[2:] != channels:
         raise ValueError(f"{magic} image shape {data.shape} is not (H, W) + {channels}")
@@ -57,23 +54,33 @@ def write_ppm(path, img: np.ndarray) -> None:
     _write_pnm(path, "P6", img, (3,))
 
 
+# P5, width, height and maxval, each after any whitespace and `#` comments
+_PGM_HEADER = re.compile(4 * rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+
+
 @names_file
+def read_pgm_pixels(path) -> np.ndarray:
+    """Returns the (H, W) uint8 pixels of a binary PGM with maxval 255."""
+    with open(path, "rb") as f:
+        data = f.read()
+    header = _PGM_HEADER.match(data)
+    magic, *fields = header.groups()
+    end = header.end()      # the one whitespace byte that ends the header
+    if magic != b"P5":
+        raise ValueError(f"not a binary PGM file: magic {magic!r}")
+    if end == len(data):    # a token cut short, or no byte after maxval
+        raise ValueError("truncated PGM header")
+    if not all(x.isdigit() for x in fields) or not data[end:end + 1].isspace():
+        raise ValueError(f"malformed PGM header {b' '.join(fields)!r}")
+    w, h, maxval = map(int, fields)
+    if maxval != 255:
+        raise ValueError(f"unsupported PGM maxval {maxval}")
+    n = len(data) - end - 1
+    if n != w * h:
+        raise ValueError(f"{n} pixel bytes, expected {w * h} for {w}x{h}")
+    return np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(h, w)
+
+
 def read_pgm(path) -> np.ndarray:
     """Returns float image (H, W) with values k/255."""
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM file: magic {magic!r}")
-        fields = []
-        while len(fields) < 3:
-            line = f.readline()
-            if not line:
-                raise ValueError("truncated PGM header")
-            fields += line.split(b"#")[0].split()
-        w, h, maxval = (int(x) for x in fields[:3])
-        if maxval != 255:
-            raise ValueError(f"unsupported PGM maxval {maxval}")
-        data = f.read()
-    if len(data) != w * h:
-        raise ValueError(f"{len(data)} pixel bytes, expected {w * h} for {w}x{h}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w) / 255.0
+    return read_pgm_pixels(path) / 255.0

@@ -12,6 +12,7 @@ cause), so 6a-6c are expected to fail and are kept red rather than loosened.
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -220,7 +221,9 @@ def learning_experiment(model_30_10):
           f"held-out iterate losses={np.round(held_losses, 3).tolist()} "
           f"ief_err={summary['ief_error']:.4f} "
           f"lmk10_err={summary['landmark_error']:.4f} "
-          f"elapsed={elapsed:.0f}s")
+          f"elapsed={elapsed:.0f}s "
+          # KB on Linux; the weekly slow-tier log records it, with no bound
+          f"peak_rss={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}MB")
     return summary
 
 

@@ -11,7 +11,7 @@ from synthface.datagen import (DatasetManifest, _sample_files,
                                load_sample_coeffs, rng_for_sample,
                                sample_intermediate, save_coeff_vector,
                                save_sample_coeffs)
-from synthface.image_io import quantize
+from synthface.image_io import read_pgm, to_pixels
 from synthface.model_io import model_digest
 from synthface.model import (GeometryCoefficients, build_procedural_model,
                              sample_geometry_coefficients,
@@ -83,18 +83,34 @@ def test_face_image_is_luminance_of_rgb_raster(model_name, size, index, request)
     mesh_gt = synthesize_geometry(model, s.alpha_gt)
     albedo = np.clip(synthesize_texture(model, tcoeffs), 0.0, 1.0)
     rgb = phong_shade(albedo, compute_vertex_normals(mesh_gt), s.lighting)
-    expected = quantize(luminance(rasterize(mesh_gt, rgb, s.pose, size, size).image))
+    raster = rasterize(mesh_gt, rgb, s.pose, size, size)
+    expected = to_pixels(luminance(raster.image)) / 255.0
     expected[~render_shading_image(synthesize_geometry(model, s.alpha_t),
                                    s.pose, size, size).mask] = 0.0
     assert expected.any()
     assert s.face_image.tobytes() == expected.tobytes()
 
 
-def test_images_are_quantized(small_model):
-    s = generate_sample(rng_for_sample(5, 6), small_model, 64, 64)
-    for img in (s.face_image, s.shading_image):
-        steps = img * 255.0
-        assert np.abs(steps - np.round(steps)).max() < 1e-9
+@pytest.mark.parametrize("source", ["generated", "loaded"])
+def test_images_are_stored_as_pixels(tmp_path, small_model, source):
+    # 1 byte per pixel; the floats k/255 on each access are the PGM's
+    h, w = 32, 48
+    d = tmp_path / "ds"
+    generate_dataset(8, small_model, 3, d, width=w, height=h)
+    samples = (load_dataset(d, small_model) if source == "loaded" else
+               [generate_sample(rng_for_sample(8, i), small_model, w, h,
+                                sample_id=i) for i in range(3)])
+    assert sum(s.face_pixels.nbytes + s.shading_pixels.nbytes
+               for s in samples) == 3 * 2 * h * w
+    for s in samples:
+        face_f, shade_f, _ = _sample_files(s.sample_id)
+        for pixels, image, name in ((s.face_pixels, s.face_image, face_f),
+                                    (s.shading_pixels, s.shading_image, shade_f)):
+            assert pixels.dtype == np.uint8 and pixels.shape == (h, w)
+            assert image.tobytes() == (pixels / 255.0).tobytes()
+            assert image.tobytes() == read_pgm(d / name).tobytes()
+        with pytest.raises(AttributeError):
+            s.face_image = s.face_image
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 from synthface.datagen import (generate_sample, load_coeff_vector,
                                load_sample_coeffs, save_coeff_vector,
                                save_sample_coeffs)
-from synthface.image_io import quantize, read_pgm, write_pgm, write_ppm
+from synthface.image_io import (read_pgm, read_pgm_pixels, to_pixels, write_pgm,
+                                write_ppm)
 from synthface.model import build_procedural_model
 from synthface.model_io import load_model, model_digest, save_model
 from synthface.reconstruct import LinearPredictor, load_predictor, save_predictor
 
 
 def test_pgm_roundtrip_bit_exact(tmp_path, rng):
-    img = quantize(rng.uniform(size=(13, 17)))
+    img = to_pixels(rng.uniform(size=(13, 17))) / 255.0
     path = tmp_path / "a.pgm"
     write_pgm(path, img)
     assert np.array_equal(read_pgm(path), img)
@@ -26,7 +27,7 @@ def test_pgm_bool_mask(tmp_path, rng):
 
 
 def test_ppm_roundtrip_bit_exact(tmp_path, rng):
-    img = quantize(rng.uniform(size=(7, 5, 3)))
+    img = to_pixels(rng.uniform(size=(7, 5, 3))) / 255.0
     path = tmp_path / "a.ppm"
     write_ppm(path, img)
     header = b"P6\n5 7\n255\n"
@@ -37,7 +38,7 @@ def test_ppm_roundtrip_bit_exact(tmp_path, rng):
 
 
 def test_pnm_magic_mismatch(tmp_path, rng):
-    write_ppm(tmp_path / "a.ppm", quantize(rng.uniform(size=(4, 4, 3))))
+    write_ppm(tmp_path / "a.ppm", to_pixels(rng.uniform(size=(4, 4, 3))) / 255.0)
     with pytest.raises(ValueError):
         read_pgm(tmp_path / "a.ppm")
 
@@ -51,12 +52,42 @@ def test_pgm_header_with_comment(tmp_path):
     assert img[0, 1] == 128 / 255.0
 
 
+@pytest.mark.parametrize("header", [
+    b"P5 4 2 255\n",
+    b"P5\n4 2\n# between the size and maxval\n255\n",
+    b"P5 4\t2# after the height\r255\r",
+], ids=["one_line", "comment_before_maxval", "tab_and_carriage_returns"])
+def test_pgm_header_in_any_line_layout(tmp_path, header):
+    pixels = bytes(range(0, 256, 32))
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + pixels)
+    img = read_pgm_pixels(path)
+    assert img.shape == (2, 4) and img.tobytes() == pixels
+
+
+@pytest.mark.parametrize("raw, reason", [
+    # one whitespace byte ends the header; a second is the first pixel
+    (b"P5 4 2 255\n\n" + bytes(8), "9 pixel bytes, expected 8 for 4x2"),
+    (b"P5 4 2 255#\n" + bytes(8), "malformed PGM header b'4 2 255'"),
+    (b"P5 4 +2 255\n" + bytes(8), "malformed PGM header b'4 +2 255'"),
+    (b"P5 4 2 65535\n" + bytes(16), "unsupported PGM maxval 65535"),
+    (b"P5 4 2", "truncated PGM header"),
+], ids=["two_whitespace_bytes", "comment_after_maxval", "signed_height",
+        "maxval_16_bit", "truncated"])
+def test_pgm_header_rejects(tmp_path, raw, reason):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        read_pgm(path)
+    assert str(err.value) == f"{path}: {reason}"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-0.5, 1.5, allow_nan=False))
-def test_quantize_idempotent_and_on_grid(value):
+def test_to_pixels_idempotent_and_on_grid(value):
     img = np.full((2, 2), value)
-    q = quantize(img)
-    assert np.array_equal(quantize(q), q)
+    q = to_pixels(img) / 255.0
+    assert np.array_equal(to_pixels(q) / 255.0, q)
     assert np.all(q >= 0.0) and np.all(q <= 1.0)
     steps = q * 255.0
     assert np.abs(steps - np.round(steps)).max() < 1e-9
