@@ -35,7 +35,7 @@ MAX_POSE_RETRIES = 8
 @dataclass
 class TrainingSample:
     """One sample, its images held as (H, W) uint8 pixels.  `face_image` and
-    `shading_image` are them as floats k/255, computed on each access."""
+    `shading_image` give them as floats k/255, computed on each access."""
     face_pixels: np.ndarray     # zero outside the alpha_t mask
     shading_pixels: np.ndarray  # the alpha_t geometry's shading render
     alpha_t: GeometryCoefficients
