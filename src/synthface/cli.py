@@ -1,6 +1,8 @@
 """Command-line front-end for the synthesis / reconstruction pipeline.
 
-Subcommands: model-gen, datagen, train, reconstruct, eval, defaults.
+Subcommands: model-gen, datagen, eval-inputs, train, reconstruct, eval,
+defaults.  `eval-inputs` writes one held-out face with the pose, ground-truth
+coefficients and landmarks that `reconstruct` and `eval` read.
 Every seeded command is bytewise reproducible; all subcommands exit 0 on
 success and nonzero with a one-line diagnostic on failure.  Every malformed
 input file ends in ``error: <file>: <reason>`` and exit 1 (`image_io.names_file`).
@@ -17,12 +19,13 @@ import os
 import sys
 
 from . import defaults
-from .datagen import (generate_dataset, load_coeff_vector, load_dataset,
-                      save_coeff_vector)
+from .datagen import (generate_dataset, generate_sample, load_coeff_vector,
+                      load_dataset, rng_for_sample, save_coeff_vector)
 from .evaluate import (format_report, landmark_fit, load_landmarks,
-                       error_heatmap, optimal_similarity_align, pointwise_error)
-from .image_io import check_size, read_pgm, write_pgm, write_ppm
-from .mesh_io import load_pose, save_off
+                       error_heatmap, optimal_similarity_align, pointwise_error,
+                       project_landmarks, save_landmarks)
+from .image_io import check_image_size, check_size, read_pgm, write_pgm, write_ppm
+from .mesh_io import load_pose, save_off, save_pose
 from .model import (GeometryCoefficients, build_procedural_model,
                     synthesize_geometry)
 from .model_io import check_coeffs, check_model, load_model, save_model
@@ -46,6 +49,22 @@ def _cmd_datagen(args) -> int:
                                 workers=args.workers)
     print(f"wrote {manifest.count} samples to {args.out} "
           f"(manifest: {os.path.join(args.out, 'manifest.txt')})")
+    return 0
+
+
+def _cmd_eval_inputs(args) -> int:
+    check_image_size(args.width, args.height)
+    model = load_model(args.model)
+    size = (args.width, args.height)
+    sample = generate_sample(rng_for_sample(args.seed, 0), model, *size)
+    landmarks = project_landmarks(model, sample.alpha_gt, sample.pose, *size,
+                                  model.landmark_indices)
+    os.makedirs(args.out, exist_ok=True)
+    write_pgm(os.path.join(args.out, "face.pgm"), sample.face_image)
+    save_pose(os.path.join(args.out, "pose.txt"), sample.pose, *size)
+    save_coeff_vector(os.path.join(args.out, "gt.bin"), sample.alpha_gt.vector)
+    save_landmarks(os.path.join(args.out, "landmarks.txt"), landmarks)
+    print(f"wrote face.pgm, pose.txt, gt.bin, landmarks.txt to {args.out}")
     return 0
 
 
@@ -124,6 +143,13 @@ def _cmd_defaults(args) -> int:
     return 0
 
 
+def _add_size(p) -> None:
+    p.add_argument("--width", type=int, default=defaults.IMAGE_WIDTH,
+                   help=f"image width (default {defaults.IMAGE_WIDTH})")
+    p.add_argument("--height", type=int, default=defaults.IMAGE_HEIGHT,
+                   help=f"image height (default {defaults.IMAGE_HEIGHT})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synthface",
@@ -149,14 +175,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--count", type=int, required=True, help="number of samples")
-    p.add_argument("--width", type=int, default=defaults.IMAGE_WIDTH,
-                   help=f"image width (default {defaults.IMAGE_WIDTH})")
-    p.add_argument("--height", type=int, default=defaults.IMAGE_HEIGHT,
-                   help=f"image height (default {defaults.IMAGE_HEIGHT})")
+    _add_size(p)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers; output bytes are identical for any "
                         "worker count (default 1)")
     p.set_defaults(func=_cmd_datagen)
+
+    p = sub.add_parser("eval-inputs",
+                       help="write a held-out face with its pose, ground-truth "
+                            "coefficients and landmarks")
+    p.add_argument("--model", required=True, help="MFM1 model file")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=123, help="sample seed (default 123)")
+    _add_size(p)
+    p.set_defaults(func=_cmd_eval_inputs)
 
     p = sub.add_parser("train", help="train the linear predictor on a dataset")
     p.add_argument("--model", required=True, help="MFM1 model file")

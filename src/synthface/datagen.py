@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import defaults
-from .image_io import check_size, names_file, read_pgm_pixels, to_pixels, write_pgm
+from .image_io import (check_image_size, check_size, names_file,
+                       read_pgm_pixels, to_pixels, write_pgm)
 from .model import (GeometryCoefficients, MorphableModel,
                     sample_geometry_coefficients, sample_texture_coefficients,
                     synthesize_geometry, synthesize_texture)
@@ -60,9 +61,7 @@ class DatasetManifest:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if min(self.width, self.height) < 1:
-            raise ValueError(f"image size {self.width}x{self.height} "
-                             "must be at least 1x1")
+        check_image_size(self.width, self.height)
 
     @property
     def entries(self) -> list:

@@ -1,4 +1,5 @@
-"""Binary 8-bit PGM (read and written) and PPM (written) files, and `names_file`."""
+"""Binary 8-bit PGM (read and written) and PPM (written) files, the image-size
+rule, and `names_file`."""
 
 from __future__ import annotations
 
@@ -26,6 +27,18 @@ def check_size(path, size: tuple, expected: tuple, source) -> None:
     if size != expected:
         raise ValueError(f"image size {size[0]}x{size[1]} differs from "
                          f"{expected[0]}x{expected[1]} of {source}")
+
+
+def check_image_size(width: int, height: int) -> None:
+    """Each side in [1, 2**32), the range of a predictor file's u32 size
+    fields, and a pixel count numpy can index."""
+    if min(width, height) < 1:
+        raise ValueError(f"image size {width}x{height} must be at least 1x1")
+    if max(width, height) >= 2**32:
+        raise ValueError(f"image size {width}x{height} is above 2**32 - 1")
+    if width * height > np.iinfo(np.intp).max:
+        raise ValueError(f"image size {width}x{height} has more pixels than "
+                         f"numpy can index")
 
 
 def to_pixels(img: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image_io import names_file
+from .image_io import check_image_size, names_file
 from .model import Mesh
 from .render import PoseParams
 
@@ -36,9 +36,8 @@ def save_pose(path, pose: PoseParams, width: int, height: int) -> None:
 @names_file
 def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
     """Pose and (width, height) from one `f` line of 1 value, three `R` rows,
-    one `t` line of 3 and one `size` line of 2 integers in [1, 2**32), the
-    range of a predictor file's u32 size fields, whose product numpy can
-    index."""
+    one `t` line of 3 and one `size` line of 2 integers that
+    `check_image_size` accepts."""
     lines = {key: [] for key in POSE_LINES}
     with open(path) as fh:
         for line in fh:
@@ -57,12 +56,6 @@ def load_pose(path) -> tuple[PoseParams, tuple[int, int]]:
     if [len(lines[key]) for key in lines] != [1, 3, 1, 1]:
         raise ValueError("pose file must contain f, three R rows, t and size")
     width, height = lines["size"][0]
-    if width < 1 or height < 1:
-        raise ValueError(f"image size {width}x{height} is not positive")
-    if max(width, height) >= 2**32:
-        raise ValueError(f"image size {width}x{height} is above 2**32 - 1")
-    if width * height > np.iinfo(np.intp).max:
-        raise ValueError(f"image size {width}x{height} has more pixels than "
-                         f"numpy can index")
+    check_image_size(width, height)
     pose = PoseParams(lines["f"][0][0], np.array(lines["R"]), np.array(lines["t"][0]))
     return pose, (width, height)

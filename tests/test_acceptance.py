@@ -302,7 +302,6 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_walkthrough(tmp_path):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cli = [sys.executable, "-m", "synthface.cli"]
-    prep = [sys.executable, os.path.join(repo, "demos", "make_eval_inputs.py")]
     # The steps run from tmp_path, where a relative PYTHONPATH entry such as
     # the test command's `src` no longer resolves; put the absolute source
     # directory first and keep whatever the caller had after it.
@@ -319,7 +318,7 @@ def test_criterion_9_walkthrough(tmp_path):
          "--n-tex", 10, "--grid", 32, "--out", "model.mfm"),
         (*cli, "datagen", "--model", "model.mfm", "--out", "data",
          "--seed", 0, "--count", 300, "--width", 64, "--height", 64),
-        (*prep, "--model", "model.mfm", "--out", "eval_inputs",
+        (*cli, "eval-inputs", "--model", "model.mfm", "--out", "eval_inputs",
          "--seed", 123, "--width", 64, "--height", 64),
         (*cli, "train", "--model", "model.mfm", "--dataset", "data",
          "--out", "predictor.prd", "--ridge", 1.0),

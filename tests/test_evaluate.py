@@ -264,7 +264,7 @@ def test_pose_file_roundtrip(tmp_path, rng):
 def test_pose_file_size_must_be_positive(tmp_path, rng):
     path = tmp_path / "pose.txt"
     save_pose(path, sample_pose(rng, 40.0, 3.0), 0, 64)
-    with pytest.raises(ValueError, match="image size 0x64 is not positive"):
+    with pytest.raises(ValueError, match="image size 0x64 must be at least 1x1"):
         load_pose(path)
 
 

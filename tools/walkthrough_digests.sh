@@ -2,15 +2,16 @@
 # Run the README walkthrough, two 200x200 datagens (with the walkthrough's
 # model and with the default paper-size one), a training on the first of them
 # with a reconstruction and an eval of one 200x200 face, and `synthface
-# defaults` with the synthface package and demos of the checkout SRC_DIR,
-# writing into OUT_DIR (which must not exist yet), then print one
-# "sha256  path" line for every file written.
+# defaults` with the synthface package of the checkout SRC_DIR, writing into
+# OUT_DIR (which must not exist yet), then print one "sha256  path" line for
+# every file written.  Every step is a `synthface` subcommand.
 # The stdout of each `eval` and of `defaults` is saved as eval.stdout,
 # eval200.stdout and defaults.stdout, so it is covered too.  BLAS and OpenMP
-# run one thread each.
+# run one thread each.  Run each checkout's own copy of this tool, since the
+# steps use the subcommands of the checkout they run on.
 #
-#   tools/walkthrough_digests.sh ../parent out_parent > parent.txt
-#   tools/walkthrough_digests.sh .         out_change > change.txt
+#   ../parent/tools/walkthrough_digests.sh ../parent out_parent > parent.txt
+#   tools/walkthrough_digests.sh           .         out_change > change.txt
 #   diff parent.txt change.txt     # no output: both wrote the same bytes
 set -euo pipefail
 if [ $# -ne 2 ]; then
@@ -37,7 +38,7 @@ synthface datagen --model model.mfm --out data200 --seed 0 --count 20 \
 synthface model-gen --out model_default.mfm > /dev/null
 synthface datagen --model model_default.mfm --out data_default200 --seed 0 \
     --count 20 --width 200 --height 200 > /dev/null
-python3 "$src/demos/make_eval_inputs.py" --model model.mfm --out eval_inputs \
+synthface eval-inputs --model model.mfm --out eval_inputs \
     --seed 123 --width 64 --height 64 > /dev/null
 synthface train --model model.mfm --dataset data --out predictor.prd \
     --ridge 1.0 > /dev/null
@@ -53,7 +54,7 @@ synthface eval --model model.mfm --gt-coeffs eval_inputs/gt.bin \
     --landmarks-file eval_inputs/landmarks.txt \
     --pose-file eval_inputs/pose.txt --out report > eval.stdout
 # the IEF loop and its pooling at the benchmark's image size
-python3 "$src/demos/make_eval_inputs.py" --model model.mfm --out eval_inputs200 \
+synthface eval-inputs --model model.mfm --out eval_inputs200 \
     --seed 124 --width 200 --height 200 > /dev/null
 synthface reconstruct --model model.mfm --predictor predictor200.prd \
     --image eval_inputs200/face.pgm --pose-file eval_inputs200/pose.txt \
