@@ -35,7 +35,7 @@ print(f"trained predictor: {config.feature_dim} features -> "
 
 losses = np.zeros(config.iterations + 1)
 for s in test:
-    result = ief_reconstruct(s.face_image, s.pose, predictor, model, config)
+    result = ief_reconstruct(s.face_pixels, s.pose, predictor, model, config)
     for t, alpha in enumerate(result.iterates):
         losses[t] += geometry_loss(
             model, GeometryCoefficients.from_vector(alpha, model.n_id),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import defaults
 from .image_io import (check_image_size, check_size, names_file,
-                       read_pgm_pixels, to_pixels, write_pgm)
+                       read_pgm, to_pixels, write_pgm)
 from .model import (GeometryCoefficients, MorphableModel,
                     sample_geometry_coefficients, sample_texture_coefficients,
                     synthesize_geometry, synthesize_texture)
@@ -293,7 +293,7 @@ def load_dataset(dataset_dir, model: MorphableModel) -> list[TrainingSample]:
         face_f, shade_f, coeff_f = (os.path.join(dataset_dir, f)
                                     for f in _sample_files(sid))
         try:
-            face, shading = read_pgm_pixels(face_f), read_pgm_pixels(shade_f)
+            face, shading = read_pgm(face_f), read_pgm(shade_f)
             at, agt, pose, lighting = load_sample_coeffs(coeff_f, model.n_id)
         except FileNotFoundError as exc:
             raise ValueError(f"{path}: references missing file {exc.filename}") from None

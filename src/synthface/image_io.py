@@ -1,5 +1,5 @@
-"""Binary 8-bit PGM (read and written) and PPM (written) files, the image-size
-rule, and `names_file`."""
+"""Binary 8-bit PGM (read as its uint8 pixels, and written) and PPM (written)
+files, the image-size rule, and `names_file`."""
 
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ _PGM_HEADER = re.compile(4 * rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 @names_file
-def read_pgm_pixels(path) -> np.ndarray:
+def read_pgm(path) -> np.ndarray:
     """Returns the (H, W) uint8 pixels of a binary PGM with maxval 255."""
     with open(path, "rb") as f:
         data = f.read()
@@ -92,8 +92,3 @@ def read_pgm_pixels(path) -> np.ndarray:
     if n != w * h:
         raise ValueError(f"{n} pixel bytes, expected {w * h} for {w}x{h}")
     return np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(h, w)
-
-
-def read_pgm(path) -> np.ndarray:
-    """Returns float image (H, W) with values k/255."""
-    return read_pgm_pixels(path) / 255.0

@@ -218,14 +218,17 @@ def _orthonormal_smooth_basis(rng, field_basis, n_cols):
             disp[:, axis] = (field_basis @ g) / np.sqrt(n_field)
         raw[:, c] = disp.reshape(-1)
     q, r = np.linalg.qr(raw)
+    del raw
     # fix signs for determinism
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    q = q * signs
+    q *= signs
     diag = np.abs(np.diag(r))
     if diag.min() < 1e-10 * diag.max():
         raise ValueError("smooth field space too small for requested basis size")
-    return q
+    # column-major, as MFM1 stores and loads them, so that a built model and
+    # its file round-trip multiply bit-identically
+    return np.asfortranarray(q)
 
 
 def build_procedural_model(seed: int,
@@ -293,14 +296,12 @@ def build_procedural_model(seed: int,
 
     landmarks = _nearest_unique_vertices(np.stack([u, v], axis=1), layout)
 
-    # column-major, as MFM1 stores and loads them, so that a built model and
-    # its file round-trip multiply bit-identically
     return MorphableModel(
         mu_shape=verts.reshape(-1),
-        shape_basis=np.asfortranarray(shape_basis),
+        shape_basis=shape_basis,
         n_id=n_id,
         mu_tex=mu_tex.reshape(-1),
-        basis_tex=np.asfortranarray(tex_basis),
+        basis_tex=tex_basis,
         triangles=tris,
         landmark_indices=landmarks,
     )

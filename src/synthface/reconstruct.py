@@ -1,13 +1,14 @@
 """Iterative error-feedback reconstruction with a pluggable predictor.
 
-The loop starts at the mean face (all-zero coefficients), renders a shading
-image of the current estimate, masks the input image with the estimate's
-coverage, and asks the predictor for updated coefficients.  The estimate is
-the loop's only state, so one that covers no pixel gives all-zero features.
-It returns the sequence of coefficient estimates with the mesh and shading
-image of the last one.  The desk-scale predictor is a ridge-trained linear
-map on features pooled over fixed 8-pixel blocks; anything with the same
-call signature plugs in unchanged.  Its PRD4 file records the image size
+The loop takes the input face as 8-bit pixels, scales them to the floats
+k/255 once, and starts at the mean face (all-zero coefficients).  Each step
+renders a shading image of the current estimate, masks the face with the
+estimate's coverage, and asks the predictor for updated coefficients.  The
+estimate is the loop's only state, so one that covers no pixel gives all-zero
+features.  It returns the sequence of coefficient estimates with the mesh and
+shading image of the last one.  The desk-scale predictor is a ridge-trained
+linear map on features pooled over fixed 8-pixel blocks; anything with the
+same call signature plugs in unchanged.  Its PRD4 file records the image size
 and the model it was trained for.
 """
 
@@ -140,16 +141,19 @@ def train_linear_predictor(samples,
                            config.height, model_digest(model))
 
 
-def ief_reconstruct(face_image: np.ndarray,
+def ief_reconstruct(face_pixels: np.ndarray,
                     pose: PoseParams,
                     predictor: Callable,
                     model: MorphableModel,
                     config: IEFConfig) -> ReconstructionResult:
-    """Run the error-feedback loop from the mean face."""
-    if face_image.shape != (config.height, config.width):
+    """Run the error-feedback loop from the mean face on (H, W) uint8 pixels."""
+    if face_pixels.dtype != np.uint8:
+        raise ValueError(f"face pixels have dtype {face_pixels.dtype}, not uint8")
+    if face_pixels.shape != (config.height, config.width):
         raise ValueError(
-            f"image shape {face_image.shape} does not match config "
+            f"image shape {face_pixels.shape} does not match config "
             f"({config.height}, {config.width})")
+    face_image = face_pixels / 255.0
     n_coeffs = model.n_id + model.n_exp
     alpha = np.zeros(n_coeffs)
     iterates = [alpha.copy()]

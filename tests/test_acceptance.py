@@ -180,7 +180,7 @@ def learning_experiment(model_30_10):
     def iterate_losses(pred, samples):
         losses = np.zeros(cfg.iterations + 1)
         for s in samples:
-            res = ief_reconstruct(s.face_image, s.pose, pred, m, cfg)
+            res = ief_reconstruct(s.face_pixels, s.pose, pred, m, cfg)
             for t, alpha in enumerate(res.iterates):
                 losses[t] += geometry_loss(
                     m, GeometryCoefficients.from_vector(alpha, m.n_id),
@@ -201,7 +201,7 @@ def learning_experiment(model_30_10):
     ief_errors, lmk_errors = [], []
     for s in held[:100]:
         gt_mesh = synthesize_geometry(m, s.alpha_gt)
-        res = ief_reconstruct(s.face_image, s.pose, predictor, m, cfg)
+        res = ief_reconstruct(s.face_pixels, s.pose, predictor, m, cfg)
         final = synthesize_geometry(m, res.final_coefficients(m))
         _, aligned = optimal_similarity_align(final, gt_mesh)
         ief_errors.append(pointwise_error(aligned, gt_mesh).mean)

@@ -108,7 +108,7 @@ def test_images_are_stored_as_pixels(tmp_path, small_model, source):
                                     (s.shading_pixels, s.shading_image, shade_f)):
             assert pixels.dtype == np.uint8 and pixels.shape == (h, w)
             assert image.tobytes() == (pixels / 255.0).tobytes()
-            assert image.tobytes() == read_pgm(d / name).tobytes()
+            assert pixels.tobytes() == read_pgm(d / name).tobytes()
         with pytest.raises(AttributeError):
             s.face_image = s.face_image
 

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from synthface.datagen import (generate_sample, load_coeff_vector,
                                load_sample_coeffs, save_coeff_vector,
                                save_sample_coeffs)
-from synthface.image_io import (read_pgm, read_pgm_pixels, to_pixels, write_pgm,
-                                write_ppm)
+from synthface.image_io import read_pgm, to_pixels, write_pgm, write_ppm
 from synthface.model import build_procedural_model
 from synthface.model_io import load_model, model_digest, save_model
 from synthface.reconstruct import LinearPredictor, load_predictor, save_predictor
@@ -16,7 +15,9 @@ def test_pgm_roundtrip_bit_exact(tmp_path, rng):
     img = to_pixels(rng.uniform(size=(13, 17))) / 255.0
     path = tmp_path / "a.pgm"
     write_pgm(path, img)
-    assert np.array_equal(read_pgm(path), img)
+    pixels = read_pgm(path)
+    assert pixels.dtype == np.uint8 and np.array_equal(pixels, to_pixels(img))
+    assert np.array_equal(pixels / 255.0, img)
 
 
 def test_pgm_bool_mask(tmp_path, rng):
@@ -48,8 +49,8 @@ def test_pgm_header_with_comment(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(raw)
     img = read_pgm(path)
-    assert img.shape == (2, 2)
-    assert img[0, 1] == 128 / 255.0
+    assert img.dtype == np.uint8
+    assert np.array_equal(img, to_pixels(np.array([[0, 128], [255, 64]]) / 255.0))
 
 
 @pytest.mark.parametrize("header", [
@@ -61,8 +62,10 @@ def test_pgm_header_in_any_line_layout(tmp_path, header):
     pixels = bytes(range(0, 256, 32))
     path = tmp_path / "h.pgm"
     path.write_bytes(header + pixels)
-    img = read_pgm_pixels(path)
+    img = read_pgm(path)
     assert img.shape == (2, 4) and img.tobytes() == pixels
+    expected = np.frombuffer(pixels, dtype=np.uint8).reshape(2, 4) / 255.0
+    assert img.dtype == np.uint8 and np.array_equal(img, to_pixels(expected))
 
 
 @pytest.mark.parametrize("raw, reason", [

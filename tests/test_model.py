@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synthface import model as model_module
 from synthface.model import (GeometryCoefficients, TextureCoefficients,
                              build_procedural_model, geometry_loss,
                              geometry_loss_grad, project_texture,
@@ -42,6 +45,28 @@ def test_builder_rejects_grid_with_fewer_vertices_than_landmarks():
     with pytest.raises(ValueError, match="fewer than the 68 landmarks"):
         build_procedural_model(1, 3, 2, 2, 8)
     assert build_procedural_model(1, 3, 2, 2, 9).landmark_indices.max() < 81
+
+
+# Transient memory of a paper-size build, as a multiple of its shape basis:
+# 1.98 when `_orthonormal_smooth_basis` keeps its input across a sign-flip copy
+# and the builder copies each basis to column-major again, 1.58 without them.
+BUILD_TRANSIENT_BOUND = 1.75
+
+
+def test_paper_size_build_keeps_no_spare_basis_copy(monkeypatch):
+    bases = []
+    build_basis = model_module._orthonormal_smooth_basis
+    monkeypatch.setattr(model_module, "_orthonormal_smooth_basis",
+                        lambda *args: bases.append(build_basis(*args)) or bases[-1])
+    tracemalloc.start()
+    try:
+        m = build_procedural_model(1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < BUILD_TRANSIENT_BOUND * m.shape_basis.nbytes
+    assert [b.flags.f_contiguous for b in bases] == [True, True]
+    assert bases[0] is m.shape_basis and bases[1] is m.basis_tex
 
 
 def test_combined_basis_orthonormal(small_model):

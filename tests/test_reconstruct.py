@@ -180,7 +180,7 @@ def test_ideal_predictor_converges_in_one_step(fit_model, corpus, cfg64):
     def oracle(features, alpha):
         return target
 
-    res = ief_reconstruct(s.face_image, s.pose, oracle, fit_model, cfg64)
+    res = ief_reconstruct(s.face_pixels, s.pose, oracle, fit_model, cfg64)
     assert len(res.iterates) == cfg64.iterations + 1
     assert np.array_equal(res.iterates[0], np.zeros(40))
     got = GeometryCoefficients.from_vector(res.iterates[1], 30)
@@ -192,7 +192,7 @@ def test_zero_predictor_stays_at_mean(fit_model, corpus, cfg64):
     zero = LinearPredictor(np.zeros((40, cfg64.feature_dim + 40)),
                            np.zeros(40), cfg64.width, cfg64.height,
                            model_digest(fit_model))
-    res = ief_reconstruct(s.face_image, s.pose, zero, fit_model, cfg64)
+    res = ief_reconstruct(s.face_pixels, s.pose, zero, fit_model, cfg64)
     for it in res.iterates:
         assert np.array_equal(it, np.zeros(40))
     final = synthesize_geometry(fit_model, res.final_coefficients(fit_model))
@@ -207,7 +207,7 @@ def test_loop_masks_input_by_estimate(fit_model, corpus, cfg64):
         seen.append(features.copy())
         return np.zeros(40)
 
-    ief_reconstruct(s.face_image, s.pose, spy, fit_model, cfg64)
+    ief_reconstruct(s.face_pixels, s.pose, spy, fit_model, cfg64)
     mean_raster = render_shading_image(fit_model.mean_mesh, s.pose, 64, 64)
     masked = np.where(mean_raster.mask, s.face_image, 0.0)
     shading = np.where(mean_raster.mask, mean_raster.image, 0.0)
@@ -225,7 +225,7 @@ def test_loop_renders_once_per_iterate(fit_model, corpus, cfg64, monkeypatch):
 
     monkeypatch.setattr(reconstruct, "render_shading_image", counting_render)
     s = corpus[0]
-    res = ief_reconstruct(s.face_image, s.pose, lambda f, a: a + 0.1,
+    res = ief_reconstruct(s.face_pixels, s.pose, lambda f, a: a + 0.1,
                           fit_model, cfg64)
     assert len(renders) == cfg64.iterations + 1
     assert renders[-1] is res.final_mesh
@@ -255,7 +255,7 @@ def test_empty_estimate_render_gives_zero_features(fit_model, corpus, cfg64,
         return alpha + 0.1
 
     s = corpus[0]
-    res = ief_reconstruct(s.face_image, s.pose, spy, fit_model, cfg64)
+    res = ief_reconstruct(s.face_pixels, s.pose, spy, fit_model, cfg64)
     assert len(res.iterates) == len(renders) == cfg64.iterations + 1
     assert seen[0].any() and seen[2].any()
     assert np.array_equal(seen[1], np.zeros(cfg64.feature_dim))
@@ -265,8 +265,15 @@ def test_empty_estimate_render_gives_zero_features(fit_model, corpus, cfg64,
 def test_wrong_predictor_output_rejected(fit_model, corpus, cfg64):
     s = corpus[0]
     with pytest.raises(ValueError):
-        ief_reconstruct(s.face_image, s.pose,
+        ief_reconstruct(s.face_pixels, s.pose,
                         lambda f, a: np.zeros(7), fit_model, cfg64)
+
+
+def test_loop_rejects_float_face(fit_model, corpus, cfg64):
+    # the loop takes 8-bit pixels, so a float image is refused, not rescaled
+    s = corpus[0]
+    with pytest.raises(ValueError, match="float64"):
+        ief_reconstruct(s.face_image, s.pose, lambda f, a: a, fit_model, cfg64)
 
 
 # ---------------------------------------------------------------------------
