@@ -60,7 +60,7 @@ def _cmd_eval_inputs(args) -> int:
     landmarks = project_landmarks(model, sample.alpha_gt, sample.pose, *size,
                                   model.landmark_indices)
     os.makedirs(args.out, exist_ok=True)
-    write_pgm(os.path.join(args.out, "face.pgm"), sample.face_image)
+    write_pgm(os.path.join(args.out, "face.pgm"), sample.face_pixels)
     save_pose(os.path.join(args.out, "pose.txt"), sample.pose, *size)
     save_coeff_vector(os.path.join(args.out, "gt.bin"), sample.alpha_gt.vector)
     save_landmarks(os.path.join(args.out, "landmarks.txt"), landmarks)

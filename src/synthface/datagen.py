@@ -210,8 +210,8 @@ def _generate_range(job, model=None):
         sample = generate_sample(rng_for_sample(master_seed, i), model,
                                  width, height, sample_id=i)
         face_f, shade_f, coeff_f = _sample_files(i)
-        write_pgm(os.path.join(out_dir, face_f), sample.face_image)
-        write_pgm(os.path.join(out_dir, shade_f), sample.shading_image)
+        write_pgm(os.path.join(out_dir, face_f), sample.face_pixels)
+        write_pgm(os.path.join(out_dir, shade_f), sample.shading_pixels)
         save_sample_coeffs(os.path.join(out_dir, coeff_f), sample)
 
 

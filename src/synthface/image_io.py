@@ -47,8 +47,9 @@ def to_pixels(img: np.ndarray) -> np.ndarray:
 
 
 def _write_pnm(path, magic: str, img: np.ndarray, channels: tuple) -> None:
-    """Binary PNM of an (H, W) + `channels` image with float values in [0,1]."""
-    data = to_pixels(img)
+    """Binary PNM of an (H, W) + `channels` image of uint8 pixels, written as
+    they are, or of float values in [0,1]."""
+    data = img if img.dtype == np.uint8 else to_pixels(img)
     h, w = data.shape[:2]
     if data.shape[2:] != channels:
         raise ValueError(f"{magic} image shape {data.shape} is not (H, W) + {channels}")
@@ -58,7 +59,7 @@ def _write_pnm(path, magic: str, img: np.ndarray, channels: tuple) -> None:
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Single-channel image (H, W) with float values in [0,1]."""
+    """Single-channel image (H, W): uint8 pixels or float values in [0,1]."""
     _write_pnm(path, "P5", img, ())
 
 

@@ -1,15 +1,15 @@
 """Iterative error-feedback reconstruction with a pluggable predictor.
 
-The loop takes the input face as 8-bit pixels, scales them to the floats
-k/255 once, and starts at the mean face (all-zero coefficients).  Each step
-renders a shading image of the current estimate, masks the face with the
-estimate's coverage, and asks the predictor for updated coefficients.  The
-estimate is the loop's only state, so one that covers no pixel gives all-zero
-features.  It returns the sequence of coefficient estimates with the mesh and
-shading image of the last one.  The desk-scale predictor is a ridge-trained
-linear map on features pooled over fixed 8-pixel blocks; anything with the
-same call signature plugs in unchanged.  Its PRD4 file records the image size
-and the model it was trained for.
+The loop takes the input face as 8-bit pixels and starts at the mean face
+(all-zero coefficients).  Each step renders a shading image of the current
+estimate, masks the face's pixels with the estimate's coverage, and asks the
+predictor for updated coefficients.  The estimate is the loop's only state,
+so one that covers no pixel gives all-zero features.  It returns the sequence
+of coefficient estimates with the mesh and shading image of the last one.
+The desk-scale predictor is a ridge-trained linear map on features pooled
+over fixed 8-pixel blocks, 8-bit pixels k as the floats k/255; anything with
+the same call signature plugs in unchanged.  Its PRD4 file records the image
+size and the model it was trained for.
 """
 
 from __future__ import annotations
@@ -62,10 +62,16 @@ class ReconstructionResult:
         return GeometryCoefficients.from_vector(self.iterates[-1], model.n_id)
 
 
+# _PAIR_SUMS[k0 + 256 k1] = k0/255 + k1/255, the first pairwise sum of two
+# adjacent 8-bit pixels, read through their little-endian 16-bit pair
+_PAIR_SUMS = np.add.outer(np.arange(256) / 255, np.arange(256) / 255).reshape(-1)
+
+
 def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
                      config: IEFConfig) -> np.ndarray:
     """Means of the 8 x 8 blocks of the face channel, then of the shading one.
 
+    Each channel is floats, or uint8 pixels k pooled as the floats k/255.
     Each block row is summed ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and 0.0 plus
     the 8 row sums, from the top, is divided by 64: for W > 8 the order of
     numpy's `reshape(H/8, 8, W/8, 8).mean(axis=(1, 3))`.  At W = 8 the row sums
@@ -78,7 +84,10 @@ def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
             f"config {expected}")
     sums = []
     for s in (face_image.reshape(-1), shading_image.reshape(-1)):
-        for _ in range(3):      # 8 = 2**3 columns: defaults.FEATURE_DOWNSAMPLE
+        # 8 = 2**3 columns (defaults.FEATURE_DOWNSAMPLE); 8-bit pairs by table
+        s = (_PAIR_SUMS.take(s.view("<u2")) if s.dtype == np.uint8
+             else s[0::2] + s[1::2])
+        for _ in range(2):
             s = s[0::2] + s[1::2]
         sums.append(s.reshape(h // 8, 8, w // 8).sum(axis=1).reshape(-1))
     return np.concatenate(sums) / 64
@@ -129,7 +138,7 @@ def train_linear_predictor(samples,
         raise ValueError(f"ridge_lambda must be finite and > 0, got {ridge_lambda}")
     # the trailing all-ones column trains the bias, the only intercept
     x = np.stack([np.concatenate([
-        extract_features(s.face_image, s.shading_image, config),
+        extract_features(s.face_pixels, s.shading_pixels, config),
         s.alpha_t.vector, [1.0]]) for s in samples])
     y = np.stack([s.alpha_gt.vector for s in samples])
     n, d = x.shape
@@ -153,7 +162,6 @@ def ief_reconstruct(face_pixels: np.ndarray,
         raise ValueError(
             f"image shape {face_pixels.shape} does not match config "
             f"({config.height}, {config.width})")
-    face_image = face_pixels / 255.0
     n_coeffs = model.n_id + model.n_exp
     alpha = np.zeros(n_coeffs)
     iterates = [alpha.copy()]
@@ -164,7 +172,7 @@ def ief_reconstruct(face_pixels: np.ndarray,
         raster = render_shading_image(mesh, pose, config.width, config.height)
         if k == config.iterations:
             return ReconstructionResult(iterates, mesh, raster.image)
-        masked = np.where(raster.mask, face_image, 0.0)
+        masked = np.where(raster.mask, face_pixels, 0)
         features = extract_features(masked, raster.image, config)
         alpha = np.asarray(predictor(features, alpha), dtype=np.float64)
         if alpha.shape != (n_coeffs,):

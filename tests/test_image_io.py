@@ -27,6 +27,15 @@ def test_pgm_bool_mask(tmp_path, rng):
     assert np.array_equal(read_pgm(path) > 0.5, mask)
 
 
+def test_pgm_of_pixels_equals_pgm_of_their_floats(tmp_path):
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    write_pgm(tmp_path / "pixels.pgm", pixels)
+    write_pgm(tmp_path / "floats.pgm", pixels / 255.0)
+    raw = (tmp_path / "pixels.pgm").read_bytes()
+    assert raw == (tmp_path / "floats.pgm").read_bytes()
+    assert raw == b"P5\n16 16\n255\n" + pixels.tobytes()
+
+
 def test_ppm_roundtrip_bit_exact(tmp_path, rng):
     img = to_pixels(rng.uniform(size=(7, 5, 3))) / 255.0
     path = tmp_path / "a.ppm"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synthface import defaults
-from synthface.datagen import generate_sample, rng_for_sample
+from synthface.datagen import TrainingSample, generate_sample, rng_for_sample
 from synthface.model import (GeometryCoefficients, geometry_loss,
                              synthesize_geometry)
 from synthface.model_io import model_digest
@@ -83,6 +83,45 @@ def test_features_equal_numpy_block_mean_bit_for_bit(rng, width, height):
     assert got[-1] == -np.inf
 
 
+def _every_pixel_pair():
+    """256 x 512 pixels whose 65,536 adjacent pairs (k0, k1) are every pair."""
+    k0, k1 = np.meshgrid(np.arange(256), np.arange(256))
+    return np.stack([k0, k1], axis=-1).reshape(256, 512).astype(np.uint8)
+
+
+def _every_pixel_pair_alone():
+    """2048 x 2048 pixels, each 8 x 8 block zero but for one pair (k0, k1):
+    its mean is exactly the pair's sum / 64, so no rounding hides a wrong sum."""
+    blocks = np.zeros((256, 8, 256, 8), dtype=np.uint8)
+    blocks[:, 0, :, :2] = _every_pixel_pair().reshape(256, 256, 2)
+    return blocks.reshape(2048, 2048)
+
+
+def _unaligned(pixels):
+    """The pixels at an odd address, as `read_pgm` returns them after an
+    odd-length header."""
+    return np.frombuffer(b"\0" + pixels.tobytes(), dtype=np.uint8,
+                         offset=1).reshape(pixels.shape)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: _every_pixel_pair(),
+    lambda rng: _every_pixel_pair_alone(),
+    lambda rng: rng.integers(0, 256, (16, 8), dtype=np.uint8),
+    lambda rng: rng.integers(0, 256, (8, 16), dtype=np.uint8),
+    lambda rng: _unaligned(rng.integers(0, 256, (24, 40), dtype=np.uint8)),
+], ids=["every_pair_256x512", "every_pair_alone", "8_wide", "16_wide", "unaligned_buffer"])
+def test_pixel_features_equal_float_features_bit_for_bit(rng, make):
+    face = make(rng)
+    shading = face[::-1]            # rows reversed: another pixel layout
+    h, w = face.shape
+    cfg = IEFConfig(width=w, height=h)
+    expected = extract_features(face / 255.0, shading / 255.0, cfg)
+    for channels in ((face, shading), (face, shading / 255.0),
+                     (face / 255.0, shading)):
+        assert extract_features(*channels, cfg).tobytes() == expected.tobytes()
+
+
 def test_features_shape_mismatch(cfg64):
     with pytest.raises(ValueError):
         extract_features(np.zeros((32, 32)), np.zeros((64, 64)), cfg64)
@@ -141,6 +180,28 @@ def _design(samples, cfg):
         extract_features(s.face_image, s.shading_image, cfg),
         s.alpha_t.vector, [1.0]]) for s in samples])
     return x, np.stack([s.alpha_gt.vector for s in samples])
+
+
+@pytest.mark.parametrize("count", [40, 200])     # n < d and n >= d
+def test_training_pools_pixels_without_float_images(fit_model, corpus, cfg64,
+                                                    monkeypatch, count):
+    lam = 0.1
+    x, y = _design(corpus[:count], cfg64)
+    n, d = x.shape
+    if n < d:
+        ref = (x.T @ np.linalg.solve(x @ x.T + lam * np.eye(n), y)).T
+    else:
+        ref = np.linalg.solve(x.T @ x + lam * np.eye(d), x.T @ y).T
+
+    def no_floats(sample):
+        raise AssertionError("training converted a sample's pixels to floats")
+
+    monkeypatch.setattr(TrainingSample, "face_image", property(no_floats))
+    monkeypatch.setattr(TrainingSample, "shading_image", property(no_floats))
+    pred = train_linear_predictor(corpus[:count], fit_model, cfg64,
+                                  ridge_lambda=lam)
+    assert pred.weight.tobytes() == ref[:, :-1].tobytes()
+    assert pred.bias.tobytes() == ref[:, -1].tobytes()
 
 
 def test_fewer_samples_than_inputs_matches_lstsq(fit_model, corpus, cfg64):
