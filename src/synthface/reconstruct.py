@@ -6,10 +6,12 @@ estimate, masks the face's pixels with the estimate's coverage, and asks the
 predictor for updated coefficients.  The estimate is the loop's only state,
 so one that covers no pixel gives all-zero features.  It returns the sequence
 of coefficient estimates with the mesh and shading image of the last one.
-The desk-scale predictor is a ridge-trained linear map on features pooled
-over fixed 8-pixel blocks, 8-bit pixels k as the floats k/255; anything with
-the same call signature plugs in unchanged.  Its PRD4 file records the image
-size and the model it was trained for.
+The shading render is quantized to 8-bit pixels, as `datagen` stores it, so
+the predictor reads the kind of input it was trained on.  The desk-scale
+predictor is a ridge-trained linear map on the means of fixed 8-pixel blocks
+of 8-bit pixels k, taken as k/255; anything with the same call signature
+plugs in unchanged.  Its PRD4 file records the image size and the model it
+was trained for.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import defaults
-from .image_io import names_file
+from .image_io import names_file, to_pixels
 from .model_io import model_digest
 from .model import (GeometryCoefficients, Mesh, MorphableModel,
                     synthesize_geometry)
@@ -56,41 +58,34 @@ def pooled_config(path, width: int, height: int) -> IEFConfig:
 class ReconstructionResult:
     iterates: list          # coefficient vectors, length iterations + 1; [0] is zero
     final_mesh: Mesh        # geometry of iterates[-1]
-    final_shading: np.ndarray   # its shading image under the input pose
+    final_shading: np.ndarray   # its float shading render under the input pose,
+                                # not quantized: no predictor reads it
 
     def final_coefficients(self, model: MorphableModel) -> GeometryCoefficients:
         return GeometryCoefficients.from_vector(self.iterates[-1], model.n_id)
 
 
-# _PAIR_SUMS[k0 + 256 k1] = k0/255 + k1/255, the first pairwise sum of two
-# adjacent 8-bit pixels, read through their little-endian 16-bit pair
-_PAIR_SUMS = np.add.outer(np.arange(256) / 255, np.arange(256) / 255).reshape(-1)
-
-
-def extract_features(face_image: np.ndarray, shading_image: np.ndarray,
+def extract_features(face_pixels: np.ndarray, shading_pixels: np.ndarray,
                      config: IEFConfig) -> np.ndarray:
     """Means of the 8 x 8 blocks of the face channel, then of the shading one.
 
-    Each channel is floats, or uint8 pixels k pooled as the floats k/255.
-    Each block row is summed ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and 0.0 plus
-    the 8 row sums, from the top, is divided by 64: for W > 8 the order of
-    numpy's `reshape(H/8, 8, W/8, 8).mean(axis=(1, 3))`.  At W = 8 the row sums
-    are added pairwise instead, and that mean adds each block as one run of 64.
+    Each channel is uint8 pixels k, taken as k/255.  A block's integer pixel
+    sum (at most 64 x 255, exact in uint16) is divided by 64 x 255 once, so
+    each feature is the correctly rounded mean.
     """
     h, w = expected = (config.height, config.width)
-    if face_image.shape != expected or shading_image.shape != expected:
+    if face_pixels.shape != expected or shading_pixels.shape != expected:
         raise ValueError(
-            f"image dims {face_image.shape}/{shading_image.shape} do not match "
+            f"image dims {face_pixels.shape}/{shading_pixels.shape} do not match "
             f"config {expected}")
     sums = []
-    for s in (face_image.reshape(-1), shading_image.reshape(-1)):
-        # 8 = 2**3 columns (defaults.FEATURE_DOWNSAMPLE); 8-bit pairs by table
-        s = (_PAIR_SUMS.take(s.view("<u2")) if s.dtype == np.uint8
-             else s[0::2] + s[1::2])
-        for _ in range(2):
-            s = s[0::2] + s[1::2]
-        sums.append(s.reshape(h // 8, 8, w // 8).sum(axis=1).reshape(-1))
-    return np.concatenate(sums) / 64
+    for name, p in (("face", face_pixels), ("shading", shading_pixels)):
+        if p.dtype != np.uint8:
+            raise ValueError(f"{name} pixels have dtype {p.dtype}, not uint8")
+        # 8 = defaults.FEATURE_DOWNSAMPLE: 8 rows, then 8 columns
+        columns = p.reshape(h // 8, 8, w).sum(axis=1, dtype=np.uint16)
+        sums.append(columns.reshape(-1, 8).sum(axis=1, dtype=np.uint16))
+    return np.concatenate(sums) / (64 * 255.0)
 
 
 @dataclass
@@ -173,7 +168,7 @@ def ief_reconstruct(face_pixels: np.ndarray,
         if k == config.iterations:
             return ReconstructionResult(iterates, mesh, raster.image)
         masked = np.where(raster.mask, face_pixels, 0)
-        features = extract_features(masked, raster.image, config)
+        features = extract_features(masked, to_pixels(raster.image), config)
         alpha = np.asarray(predictor(features, alpha), dtype=np.float64)
         if alpha.shape != (n_coeffs,):
             raise ValueError("predictor returned a wrong-sized coefficient vector")

@@ -5,6 +5,7 @@ import pytest
 
 from synthface import defaults
 from synthface.datagen import TrainingSample, generate_sample, rng_for_sample
+from synthface.image_io import to_pixels
 from synthface.model import (GeometryCoefficients, geometry_loss,
                              synthesize_geometry)
 from synthface.model_io import model_digest
@@ -41,46 +42,30 @@ def test_config_validation():
 
 
 def test_features_constant_image(cfg64):
-    face = np.full((64, 64), 0.25)
-    shading = np.full((64, 64), 0.75)
+    face = np.full((64, 64), 51, dtype=np.uint8)
+    shading = np.full((64, 64), 204, dtype=np.uint8)
     f = extract_features(face, shading, cfg64)
     blocks = (64 // 8) ** 2
     assert f.shape == (2 * blocks,)      # pooled values only, no constant
-    assert np.allclose(f[:blocks], 0.25)
-    assert np.allclose(f[blocks:], 0.75)
+    assert np.all(f[:blocks] == 51 / 255)
+    assert np.all(f[blocks:] == 204 / 255)
 
 
 def test_features_checkerboard(cfg64):
-    tile = np.kron(np.indices((8, 8)).sum(axis=0) % 2, np.ones((8, 8)))
-    f = extract_features(tile, np.zeros((64, 64)), cfg64)
-    # within each 8x8 pooling block the pattern is constant 0 or 1; pooling
-    # pairs of blocks at half resolution gives exact 0/1 values per entry
+    def board(cells, size):
+        return (np.kron(np.indices((cells, cells)).sum(axis=0) % 2,
+                        np.ones((size, size))) * 255).astype(np.uint8)
+
+    black = np.zeros((64, 64), dtype=np.uint8)
+    f = extract_features(board(8, 8), black, cfg64)
+    # within each 8x8 pooling block the pattern is constant 0 or 255
     assert set(np.unique(f[:64])) == {0.0, 1.0}
-    finer = extract_features(
-        np.kron(np.indices((16, 16)).sum(axis=0) % 2, np.ones((4, 4))),
-        np.zeros((64, 64)), cfg64)
-    assert np.allclose(finer[:64], 0.5)
+    finer = extract_features(board(16, 4), black, cfg64)
+    assert np.all(finer[:64] == 0.5)
 
 
-@pytest.mark.parametrize("width, height", [(16, 8), (64, 56), (64, 64),
-                                           (200, 200)])
-def test_features_equal_numpy_block_mean_bit_for_bit(rng, width, height):
-    """The pooled features are numpy's 4-D block mean to the last bit, signed
-    zeros and overflow included."""
-    shape = (height, width)
-    face = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
-    face[rng.random(shape) < 0.3] = -0.0
-    face[:8, :8] = -0.0                 # a block of -0.0 alone pools to +0.0
-    shading = np.round(rng.random(shape) * 255) / 255     # a quantized render
-    shading[-8:, -8:] = -1.7e308        # a block whose sum overflows
-    with np.errstate(over="ignore"):
-        expected = np.concatenate([
-            img.reshape(height // 8, 8, width // 8, 8).mean(axis=(1, 3)).reshape(-1)
-            for img in (face, shading)])
-        got = extract_features(face, shading, IEFConfig(width=width, height=height))
-    assert got.tobytes() == expected.tobytes()
-    assert got[0] == 0.0 and not np.signbit(got[0])
-    assert got[-1] == -np.inf
+def _random_pixels(width, height):
+    return lambda rng: rng.integers(0, 256, (height, width), dtype=np.uint8)
 
 
 def _every_pixel_pair():
@@ -105,26 +90,49 @@ def _unaligned(pixels):
 
 
 @pytest.mark.parametrize("make", [
+    _random_pixels(16, 8),
+    _random_pixels(64, 56),
+    _random_pixels(64, 64),
+    _random_pixels(200, 200),
     lambda rng: _every_pixel_pair(),
     lambda rng: _every_pixel_pair_alone(),
-    lambda rng: rng.integers(0, 256, (16, 8), dtype=np.uint8),
-    lambda rng: rng.integers(0, 256, (8, 16), dtype=np.uint8),
+    _random_pixels(8, 16),
+    _random_pixels(16, 8),
     lambda rng: _unaligned(rng.integers(0, 256, (24, 40), dtype=np.uint8)),
-], ids=["every_pair_256x512", "every_pair_alone", "8_wide", "16_wide", "unaligned_buffer"])
-def test_pixel_features_equal_float_features_bit_for_bit(rng, make):
+    lambda rng: np.full((16, 24), 255, dtype=np.uint8),
+], ids=["16-8", "64-56", "64-64", "200-200", "every_pair_256x512",
+        "every_pair_alone", "8_wide", "16_wide", "unaligned_buffer", "all_255"])
+def test_features_equal_numpy_block_mean_bit_for_bit(rng, make):
+    """Each feature is its block's integer pixel sum over 64 x 255, rounded
+    once: numpy's 4-D block sum of the pixels, divided, to the last bit."""
     face = make(rng)
     shading = face[::-1]            # rows reversed: another pixel layout
     h, w = face.shape
-    cfg = IEFConfig(width=w, height=h)
-    expected = extract_features(face / 255.0, shading / 255.0, cfg)
-    for channels in ((face, shading), (face, shading / 255.0),
-                     (face / 255.0, shading)):
-        assert extract_features(*channels, cfg).tobytes() == expected.tobytes()
+    expected = np.concatenate([
+        p.astype(np.int64).reshape(h // 8, 8, w // 8, 8).sum(axis=(1, 3)).reshape(-1)
+        for p in (face, shading)]) / (64 * 255)
+    got = extract_features(face, shading, IEFConfig(width=w, height=h))
+    assert got.tobytes() == expected.tobytes()
+    if face.min() == 255:           # 64 x 255 fits the accumulator exactly
+        assert np.all(got == 1.0)
+
+
+@pytest.mark.parametrize("channel, dtype", [
+    ("face", np.float64), ("shading", np.float32), ("face", np.uint16)])
+def test_features_reject_other_than_uint8(cfg64, channel, dtype):
+    # a float image is refused, not pooled as if it held k/255
+    images = {"face": np.zeros((64, 64), dtype=np.uint8),
+              "shading": np.zeros((64, 64), dtype=np.uint8)}
+    images[channel] = images[channel].astype(dtype)
+    with pytest.raises(ValueError, match=f"{channel} pixels have dtype "
+                       f"{np.dtype(dtype)}, not uint8"):
+        extract_features(images["face"], images["shading"], cfg64)
 
 
 def test_features_shape_mismatch(cfg64):
     with pytest.raises(ValueError):
-        extract_features(np.zeros((32, 32)), np.zeros((64, 64)), cfg64)
+        extract_features(np.zeros((32, 32), dtype=np.uint8),
+                         np.zeros((64, 64), dtype=np.uint8), cfg64)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,7 @@ def test_identity_dataset_learns_passthrough(fit_model, corpus, cfg64):
     pred = train_linear_predictor(ident, fit_model, cfg64, ridge_lambda=1e-8)
     losses = []
     for s in ident[:50]:
-        feats = extract_features(s.face_image, s.shading_image, cfg64)
+        feats = extract_features(s.face_pixels, s.shading_pixels, cfg64)
         out = pred(feats, s.alpha_t.vector)
         losses.append(geometry_loss(
             fit_model, GeometryCoefficients.from_vector(out, fit_model.n_id),
@@ -147,7 +155,7 @@ def test_identity_dataset_learns_passthrough(fit_model, corpus, cfg64):
 def test_huge_ridge_predicts_mean(fit_model, corpus, cfg64):
     pred = train_linear_predictor(corpus, fit_model, cfg64, ridge_lambda=1e12)
     gt = np.stack([s.alpha_gt.vector for s in corpus])
-    feats = extract_features(corpus[0].face_image, corpus[0].shading_image,
+    feats = extract_features(corpus[0].face_pixels, corpus[0].shading_pixels,
                              cfg64)
     out = pred(feats, corpus[0].alpha_t.vector)
     assert np.abs(out).max() < 0.1 * np.abs(gt.mean(axis=0)).max() + 0.05
@@ -158,7 +166,7 @@ def test_training_beats_zero_predictor(fit_model, corpus, cfg64):
     total = 0.0
     zero_total = 0.0
     for s in corpus:
-        feats = extract_features(s.face_image, s.shading_image, cfg64)
+        feats = extract_features(s.face_pixels, s.shading_pixels, cfg64)
         out = GeometryCoefficients.from_vector(
             pred(feats, s.alpha_t.vector), fit_model.n_id)
         total += geometry_loss(fit_model, out, s.alpha_gt)
@@ -177,7 +185,7 @@ def test_training_input_validation(fit_model, corpus, cfg64):
 
 def _design(samples, cfg):
     x = np.stack([np.concatenate([
-        extract_features(s.face_image, s.shading_image, cfg),
+        extract_features(s.face_pixels, s.shading_pixels, cfg),
         s.alpha_t.vector, [1.0]]) for s in samples])
     return x, np.stack([s.alpha_gt.vector for s in samples])
 
@@ -270,10 +278,25 @@ def test_loop_masks_input_by_estimate(fit_model, corpus, cfg64):
 
     ief_reconstruct(s.face_pixels, s.pose, spy, fit_model, cfg64)
     mean_raster = render_shading_image(fit_model.mean_mesh, s.pose, 64, 64)
-    masked = np.where(mean_raster.mask, s.face_image, 0.0)
-    shading = np.where(mean_raster.mask, mean_raster.image, 0.0)
-    expected = extract_features(masked, shading, cfg64)
+    masked = np.where(mean_raster.mask, s.face_pixels, 0)
+    expected = extract_features(masked, to_pixels(mean_raster.image), cfg64)
     assert np.array_equal(seen[0], expected)
+
+
+def test_loop_features_at_a_sample_estimate_are_its_training_row(
+        fit_model, corpus, cfg64):
+    """At a sample's own alpha_t the loop pools what training pooled for it:
+    the dataset's 8-bit face and shading pixels."""
+    for s in corpus[:5]:
+        seen = []
+
+        def spy(features, alpha):
+            seen.append(features.copy())
+            return s.alpha_t.vector
+
+        ief_reconstruct(s.face_pixels, s.pose, spy, fit_model, cfg64)
+        row = extract_features(s.face_pixels, s.shading_pixels, cfg64)
+        assert seen[1].tobytes() == row.tobytes()
 
 
 def test_loop_renders_once_per_iterate(fit_model, corpus, cfg64, monkeypatch):

@@ -8,7 +8,9 @@
 # The stdout of each `eval` and of `defaults` is saved as eval.stdout,
 # eval200.stdout and defaults.stdout, so it is covered too.  BLAS and OpenMP
 # run one thread each.  Run each checkout's own copy of this tool, since the
-# steps use the subcommands of the checkout they run on.
+# steps use the subcommands of the checkout they run on.  Compare only two
+# runs on one machine: a trained predictor's bytes, and so the reconstruction
+# and eval files made from it, move with the machine's BLAS kernels.
 #
 #   ../parent/tools/walkthrough_digests.sh ../parent out_parent > parent.txt
 #   tools/walkthrough_digests.sh           .         out_change > change.txt
