@@ -1,8 +1,8 @@
 """Command-line front-end for the synthesis / reconstruction pipeline.
 
 Subcommands: model-gen, datagen, eval-inputs, train, reconstruct, eval,
-defaults.  `eval-inputs` writes one held-out face with the pose, ground-truth
-coefficients and landmarks that `reconstruct` and `eval` read.
+defaults.  `eval-inputs` writes one held-out face with the pose and
+ground-truth coefficients that `reconstruct` and `eval` read.
 Every seeded command is bytewise reproducible; all subcommands exit 0 on
 success and nonzero with a one-line diagnostic on failure.  Every malformed
 input file ends in ``error: <file>: <reason>`` and exit 1 (`image_io.names_file`).
@@ -21,13 +21,10 @@ import sys
 from . import defaults
 from .datagen import (generate_dataset, generate_sample, load_coeff_vector,
                       load_dataset, rng_for_sample, save_coeff_vector)
-from .evaluate import (format_report, landmark_fit, load_landmarks,
-                       error_heatmap, optimal_similarity_align, pointwise_error,
-                       project_landmarks, save_landmarks)
+from .evaluate import check_baseline, error_heatmap, format_report, score
 from .image_io import check_image_size, check_size, read_pgm, write_pgm, write_ppm
 from .mesh_io import load_pose, save_off, save_pose
-from .model import (GeometryCoefficients, build_procedural_model,
-                    synthesize_geometry)
+from .model import GeometryCoefficients, build_procedural_model
 from .model_io import check_coeffs, check_model, load_model, save_model
 from .reconstruct import (IEFConfig, ief_reconstruct, load_predictor,
                           pooled_config, save_predictor, train_linear_predictor)
@@ -57,14 +54,11 @@ def _cmd_eval_inputs(args) -> int:
     model = load_model(args.model)
     size = (args.width, args.height)
     sample = generate_sample(rng_for_sample(args.seed, 0), model, *size)
-    landmarks = project_landmarks(model, sample.alpha_gt, sample.pose, *size,
-                                  model.landmark_indices)
     os.makedirs(args.out, exist_ok=True)
     write_pgm(os.path.join(args.out, "face.pgm"), sample.face_pixels)
     save_pose(os.path.join(args.out, "pose.txt"), sample.pose, *size)
     save_coeff_vector(os.path.join(args.out, "gt.bin"), sample.alpha_gt.vector)
-    save_landmarks(os.path.join(args.out, "landmarks.txt"), landmarks)
-    print(f"wrote face.pgm, pose.txt, gt.bin, landmarks.txt to {args.out}")
+    print(f"wrote face.pgm, pose.txt, gt.bin to {args.out}")
     return 0
 
 
@@ -105,23 +99,16 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
+    check_baseline(args.model, model)
     pose, (width, height) = load_pose(args.pose_file)
-    landmarks = load_landmarks(args.landmarks_file, model.n_vertices)
     paths = (args.gt_coeffs, args.ief_coeffs)
     gt, ief = (GeometryCoefficients.from_vector(load_coeff_vector(path), model.n_id)
                for path in paths)
     for path, coeffs in zip(paths, (gt, ief)):
         check_coeffs(path, coeffs.vector.size, model)
-    baseline = landmark_fit(landmarks, pose, model, width, height)
-
     # every report and heatmap is made before --out, so a failure writes nothing
-    gt_mesh = synthesize_geometry(model, gt)
-    rows = []
-    for label, coeffs in (("ief", ief), ("landmark", baseline)):
-        mesh = synthesize_geometry(model, coeffs)
-        _, aligned = optimal_similarity_align(mesh, gt_mesh)
-        report = pointwise_error(aligned, gt_mesh)
-        rows.append((label, report, error_heatmap(mesh, report, pose, width, height)))
+    rows = [(label, report, error_heatmap(mesh, report, pose, width, height))
+            for label, mesh, report in score(model, ief, gt, pose, width, height)]
 
     os.makedirs(args.out, exist_ok=True)
     table = f"{'method':<12} {'mean':>12} {'median':>12} {'rms':>12}\n"
@@ -182,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_datagen)
 
     p = sub.add_parser("eval-inputs",
-                       help="write a held-out face with its pose, ground-truth "
-                            "coefficients and landmarks")
+                       help="write a held-out face with its pose and "
+                            "ground-truth coefficients")
     p.add_argument("--model", required=True, help="MFM1 model file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=123, help="sample seed (default 123)")
@@ -216,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ground-truth coefficient file")
     p.add_argument("--ief-coeffs", required=True, dest="ief_coeffs",
                    help="reconstructed coefficient file")
-    p.add_argument("--landmarks-file", required=True, dest="landmarks_file",
-                   help="landmark annotation file (index x y per line)")
     p.add_argument("--pose-file", required=True, dest="pose_file",
                    help="pose parameter text file")
     p.add_argument("--out", required=True, help="output directory")

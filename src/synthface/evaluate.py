@@ -156,6 +156,34 @@ def pointwise_error(aligned: Mesh, ground_truth: Mesh) -> ErrorReport:
     return ErrorReport(d)
 
 
+def baseline_indices(model: MorphableModel) -> np.ndarray:
+    """The landmark baseline's vertices: every 7th model landmark, at most 10."""
+    return model.landmark_indices[::7][:10]
+
+
+@names_file
+def check_baseline(path, model: MorphableModel) -> None:
+    """Reject the model file at `path` if its baseline has fewer than 3 landmarks."""
+    if baseline_indices(model).shape[0] < 3:
+        raise ValueError(f"{model.landmark_indices.size} landmarks, too few for the baseline")
+
+
+def score(model: MorphableModel, coeffs: GeometryCoefficients,
+          gt: GeometryCoefficients, pose: PoseParams, width: int, height: int):
+    """[("ief", mesh, report), ("landmark", mesh, report)] for `coeffs` and the
+    baseline fitted to `gt`'s `baseline_indices` landmarks under `pose`: each
+    mesh as synthesized, scored against `gt`'s after similarity alignment."""
+    lms = project_landmarks(model, gt, pose, width, height, baseline_indices(model))
+    baseline = landmark_fit(lms, pose, model, width, height)
+    gt_mesh = synthesize_geometry(model, gt)
+    rows = []
+    for label, c in (("ief", coeffs), ("landmark", baseline)):
+        mesh = synthesize_geometry(model, c)
+        _, aligned = optimal_similarity_align(mesh, gt_mesh)
+        rows.append((label, mesh, pointwise_error(aligned, gt_mesh)))
+    return rows
+
+
 def error_colormap(errors: np.ndarray) -> np.ndarray:
     """Linear blue (0) -> red (largest error) map; (K,) errors to (K, 3) RGB."""
     peak = float(errors.max())
@@ -168,34 +196,6 @@ def error_heatmap(mesh: Mesh, report: ErrorReport, pose: PoseParams,
                   width: int, height: int) -> np.ndarray:
     """Render the mesh colored by per-vertex error; returns (H, W, 3) image."""
     return rasterize(mesh, error_colormap(report.distances), pose, width, height).image
-
-
-# ---------------------------------------------------------------------------
-# Text formats
-
-def save_landmarks(path, landmarks: LandmarkSet) -> None:
-    with open(path, "w") as f:
-        for idx, (px, py) in zip(landmarks.vertex_indices, landmarks.image_points):
-            f.write(f"{int(idx)} {float(px)!r} {float(py)!r}\n")
-
-
-@names_file
-def load_landmarks(path, n_vertices: int) -> LandmarkSet:
-    """Landmarks of a model with `n_vertices` vertices, one `index x y` per line."""
-    indices = []
-    points = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            idx, px, py = line.split()
-            indices.append(int(idx))
-            if not 0 <= indices[-1] < n_vertices:
-                raise ValueError(f"landmark vertex index {idx} out of range for "
-                                 f"{n_vertices} vertices")
-            points.append((float(px), float(py)))
-    return LandmarkSet(np.array(indices), np.array(points))
 
 
 def format_report(report: ErrorReport, label: str = "") -> str:

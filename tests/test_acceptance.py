@@ -23,7 +23,7 @@ import pytest
 from synthface.cli import main
 from synthface.datagen import generate_sample, rng_for_sample
 from synthface.evaluate import (landmark_fit, optimal_similarity_align,
-                                pointwise_error, project_landmarks)
+                                project_landmarks, score)
 from synthface.model import (GeometryCoefficients, Mesh, TextureCoefficients,
                              build_procedural_model, geometry_loss,
                              geometry_loss_grad, project_texture,
@@ -178,39 +178,34 @@ def learning_experiment(model_30_10):
     fit_set, val_set = train[:4500], train[4500:]
 
     def iterate_losses(pred, samples):
+        """Mean loss of each iterate, and each sample's final coefficients."""
         losses = np.zeros(cfg.iterations + 1)
+        finals = []
         for s in samples:
             res = ief_reconstruct(s.face_pixels, s.pose, pred, m, cfg)
             for t, alpha in enumerate(res.iterates):
                 losses[t] += geometry_loss(
                     m, GeometryCoefficients.from_vector(alpha, m.n_id),
                     s.alpha_gt)
-        return losses / len(samples)
+            finals.append(res.final_coefficients(m))
+        return losses / len(samples), finals
 
     best = (np.inf, None, None)
     for lam in RIDGE_GRID:
         pred = train_linear_predictor(fit_set, m, cfg, ridge_lambda=lam)
-        val = iterate_losses(pred, val_set)
+        val, _ = iterate_losses(pred, val_set)
         if val[-1] < best[0]:
             best = (val[-1], lam, pred)
     ridge, predictor = best[1], best[2]
-    held_losses = iterate_losses(predictor, held)
+    held_losses, finals = iterate_losses(predictor, held)
 
-    # pointwise vertex error of the final iterate vs a 10-landmark baseline
-    lmk10 = m.landmark_indices[::7][:10]
+    # pointwise vertex error of the final iterate vs the 10-landmark baseline
     ief_errors, lmk_errors = [], []
-    for s in held[:100]:
-        gt_mesh = synthesize_geometry(m, s.alpha_gt)
-        res = ief_reconstruct(s.face_pixels, s.pose, predictor, m, cfg)
-        final = synthesize_geometry(m, res.final_coefficients(m))
-        _, aligned = optimal_similarity_align(final, gt_mesh)
-        ief_errors.append(pointwise_error(aligned, gt_mesh).mean)
-        lms = project_landmarks(m, s.alpha_gt, s.pose, cfg.width, cfg.height,
-                                lmk10)
-        baseline = landmark_fit(lms, s.pose, m, cfg.width, cfg.height)
-        _, aligned_b = optimal_similarity_align(
-            synthesize_geometry(m, baseline), gt_mesh)
-        lmk_errors.append(pointwise_error(aligned_b, gt_mesh).mean)
+    for s, final in zip(held[:100], finals):
+        (_, _, ief), (_, _, lmk) = score(m, final, s.alpha_gt, s.pose,
+                                         cfg.width, cfg.height)
+        ief_errors.append(ief.mean)
+        lmk_errors.append(lmk.mean)
 
     elapsed = time.monotonic() - start
     summary = {"ridge": ridge, "held_losses": held_losses,
@@ -224,6 +219,10 @@ def learning_experiment(model_30_10):
           f"elapsed={elapsed:.0f}s "
           # KB on Linux; the weekly slow-tier log records it, with no bound
           f"peak_rss={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}MB")
+    # the same values at full precision, so two runs can be compared bit for bit
+    print(f"held-out iterate losses={held_losses.tolist()!r} "
+          f"ief_err={summary['ief_error']!r} "
+          f"lmk10_err={summary['landmark_error']!r}")
     return summary
 
 
@@ -328,7 +327,6 @@ def test_criterion_9_walkthrough(tmp_path):
         (*cli, "eval", "--model", "model.mfm",
          "--gt-coeffs", "eval_inputs/gt.bin",
          "--ief-coeffs", "recon/coefficients.bin",
-         "--landmarks-file", "eval_inputs/landmarks.txt",
          "--pose-file", "eval_inputs/pose.txt", "--out", "report"),
     ]
     for step in steps:

@@ -11,14 +11,13 @@ import pytest
 from synthface.cli import main
 from synthface.datagen import (generate_sample, load_coeff_vector,
                                rng_for_sample, save_coeff_vector)
-from synthface.evaluate import (landmark_fit, load_landmarks,
-                                optimal_similarity_align, pointwise_error,
-                                project_landmarks, save_landmarks)
+from synthface.evaluate import (landmark_fit, optimal_similarity_align,
+                                pointwise_error, project_landmarks)
 from synthface.image_io import write_pgm
 from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import GeometryCoefficients, synthesize_geometry
 from synthface.model_io import (load_model, model_chunks, model_digest,
-                               model_from_bytes)
+                               model_from_bytes, save_model)
 from synthface.reconstruct import LinearPredictor, save_predictor
 from synthface.render import render_shading_image
 
@@ -64,7 +63,7 @@ def test_model_gen_bad_dims(capsys):
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory, model_file):
     """A 12-sample dataset, a predictor trained on it, and one held-out face
-    with its pose, ground-truth coefficients and landmarks."""
+    with its pose and ground-truth coefficients."""
     root = tmp_path_factory.mktemp("pipeline")
     assert run("datagen", "--model", model_file, "--out", root / "data",
                "--seed", 5, "--count", 12, "--width", 64, "--height", 64) == 0
@@ -277,7 +276,6 @@ def test_full_pipeline_smoke(tmp_path, model_file, pipeline):
     ev = tmp_path / "eval"
     assert run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
                "--ief-coeffs", out / "coefficients.bin",
-               "--landmarks-file", pipeline / "landmarks.txt",
                "--pose-file", pipeline / "pose.txt", "--out", ev) == 0
     assert (ev / "heatmap_ief.ppm").exists()
     assert (ev / "heatmap_landmark.ppm").exists()
@@ -296,14 +294,17 @@ def test_reconstruct_rejects_another_model(tmp_path, pipeline, capsys):
 
 def test_eval_reads_image_size_from_pose(tmp_path, model_file, pipeline):
     ev = tmp_path / "ev"
-    assert eval_landmarks(model_file, pipeline, ev, pipeline / "landmarks.txt") == 0
-    # the landmark row is the baseline fitted at the face's own 64x64 size
+    assert eval_gt(model_file, pipeline, ev) == 0
+    # the landmark row is the 10-landmark baseline, projected and fitted at the
+    # face's own 64x64 size
     model = load_model(model_file)
     pose, _ = load_pose(pipeline / "pose.txt")
-    fit = landmark_fit(load_landmarks(pipeline / "landmarks.txt", model.n_vertices),
-                       pose, model, 64, 64)
-    gt_mesh = synthesize_geometry(model, GeometryCoefficients.from_vector(
-        load_coeff_vector(pipeline / "gt.bin"), model.n_id))
+    gt = GeometryCoefficients.from_vector(load_coeff_vector(pipeline / "gt.bin"),
+                                          model.n_id)
+    lms = project_landmarks(model, gt, pose, 64, 64,
+                            model.landmark_indices[::7][:10])
+    fit = landmark_fit(lms, pose, model, 64, 64)
+    gt_mesh = synthesize_geometry(model, gt)
     _, aligned = optimal_similarity_align(synthesize_geometry(model, fit), gt_mesh)
     report = pointwise_error(aligned, gt_mesh)
     row = (ev / "comparison.txt").read_text().splitlines()[2].split()
@@ -496,7 +497,6 @@ def test_eval_corrupt_coeffs_names_file(tmp_path, model_file, pipeline, capsys,
     bad.write_bytes(corrupt((pipeline / "gt.bin").read_bytes()))
     rc = run("eval", "--model", model_file, "--gt-coeffs", bad,
              "--ief-coeffs", pipeline / "gt.bin",
-             "--landmarks-file", pipeline / "landmarks.txt",
              "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev")
     assert rc == 1
     assert_one_line_error(capsys, bad)
@@ -510,30 +510,29 @@ def test_eval_wrong_length_coeffs_names_file(tmp_path, model_file, pipeline,
     gt, ief = (bad if f == flag else pipeline / "gt.bin"
                for f in ("--gt-coeffs", "--ief-coeffs"))
     rc = run("eval", "--model", model_file, "--gt-coeffs", gt,
-             "--ief-coeffs", ief, "--landmarks-file", pipeline / "landmarks.txt",
+             "--ief-coeffs", ief,
              "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev")
     assert rc == 1
     assert_one_line_error(capsys, bad)
 
 
-def eval_landmarks(model_file, pipeline, out, landmarks):
+def eval_gt(model_file, pipeline, out):
+    """`eval` of the held-out face's ground truth as its own reconstruction."""
     return run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
-               "--ief-coeffs", pipeline / "gt.bin", "--landmarks-file", landmarks,
+               "--ief-coeffs", pipeline / "gt.bin",
                "--pose-file", pipeline / "pose.txt", "--out", out)
 
 
-@pytest.mark.parametrize("corrupt", [
-    _text_lines(lambda ls: ls + ["5 1.0"]),
-    _text_lines(lambda ls: ["5000 " + ls[0].split(maxsplit=1)[1]] + ls[1:]),
-    _text_lines(lambda ls: [ls[0].split()[0] + " nan 1.0"] + ls[1:]),
-    _text_lines(lambda ls: ["99999999999999999999 1.0 2.0"] + ls[1:]),
-], ids=["two_values", "index_5000", "nan_x", "index_huge"])
-def test_eval_corrupt_landmarks_names_file(tmp_path, model_file, pipeline,
-                                           capsys, corrupt):
-    bad = tmp_path / "landmarks.txt"
-    bad.write_bytes(corrupt((pipeline / "landmarks.txt").read_bytes()))
-    assert eval_landmarks(model_file, pipeline, tmp_path / "ev", bad) == 1
-    assert_one_line_error(capsys, bad)
+def test_eval_rejects_model_with_too_few_landmarks(tmp_path, model_file, pipeline,
+                                                   capsys):
+    # 10 landmarks load, but every 7th of them leaves the baseline only 2
+    few = tmp_path / "few.mfm"
+    model = load_model(model_file)
+    save_model(replace(model, landmark_indices=model.landmark_indices[:10]), few)
+    assert eval_gt(few, pipeline, tmp_path / "ev") == 1
+    assert capsys.readouterr().err == \
+        f"error: {few}: 10 landmarks, too few for the baseline\n"
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_pose_size_beyond_numpy_names_pose_file(tmp_path, model_file,
@@ -544,8 +543,7 @@ def test_eval_pose_size_beyond_numpy_names_pose_file(tmp_path, model_file,
     lines = (pipeline / "pose.txt").read_text().splitlines()
     pose.write_text("\n".join(lines[:-1] + ["size 4294967295 4294967295"]) + "\n")
     rc = run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
-             "--ief-coeffs", pipeline / "gt.bin",
-             "--landmarks-file", pipeline / "landmarks.txt", "--pose-file", pose,
+             "--ief-coeffs", pipeline / "gt.bin", "--pose-file", pose,
              "--out", tmp_path / "ev")
     assert rc == 1
     assert_one_line_error(capsys, pose)
@@ -613,7 +611,6 @@ def test_eval_failing_heatmap_writes_no_output(tmp_path, model_file, pipeline,
     monkeypatch.setattr(evaluate, "rasterize", rasterize)
     rc = run("eval", "--model", model_file, "--gt-coeffs", pipeline / "gt.bin",
              "--ief-coeffs", pipeline / "gt.bin",
-             "--landmarks-file", pipeline / "landmarks.txt",
              "--pose-file", pipeline / "pose.txt", "--out", tmp_path / "ev")
     assert rc == 1 and len(rasters) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
@@ -630,8 +627,6 @@ def test_eval_inputs_writes_the_sample_of_its_seed(tmp_path, model_file):
     write_pgm(ref / "face.pgm", s.face_image)
     save_pose(ref / "pose.txt", s.pose, 48, 32)
     save_coeff_vector(ref / "gt.bin", s.alpha_gt.vector)
-    save_landmarks(ref / "landmarks.txt", project_landmarks(
-        model, s.alpha_gt, s.pose, 48, 32, model.landmark_indices))
     assert sorted(os.listdir(out)) == sorted(os.listdir(ref))
     for name in os.listdir(ref):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
@@ -663,7 +658,8 @@ def test_train_has_no_iterations_flag(capsys):
     """Values a file records or the pipeline fixes are not command-line options."""
     for sub, flags in (("train", ["--iterations", "--downsample"]),
                        ("reconstruct", ["--iterations", "--downsample"]),
-                       ("eval", ["--width", "--height", "--ridge"])):
+                       ("eval", ["--width", "--height", "--ridge",
+                                 "--landmarks-file"])):
         with pytest.raises(SystemExit):
             run(sub, "--help")
         out = capsys.readouterr().out

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from synthface.evaluate import (ErrorReport, LandmarkSet, error_colormap,
                                 error_heatmap, format_report, landmark_fit,
-                                load_landmarks, optimal_similarity_align,
-                                pointwise_error, project_landmarks,
-                                save_landmarks)
+                                optimal_similarity_align, pointwise_error,
+                                project_landmarks, score)
 from synthface.mesh_io import load_pose, save_off, save_pose
 from synthface.model import (GeometryCoefficients, Mesh,
                              sample_geometry_coefficients,
@@ -187,6 +186,30 @@ def test_pointwise_error_matches_brute_force(rng):
     assert abs(report.rms - np.sqrt((d**2).mean())) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# Scoring a reconstruction and the landmark baseline
+
+def test_score_rows_are_the_estimate_and_the_10_landmark_baseline(fit_model, rng):
+    size = 128
+    pose = sample_pose(rng, nominal_focal(fit_model.mean_mesh, size), 3.0)
+    gt = sample_geometry_coefficients(rng, fit_model)
+    gt_mesh = synthesize_geometry(fit_model, gt)
+    (ief_label, ief_mesh, ief), (lmk_label, lmk_mesh, lmk) = \
+        score(fit_model, gt, gt, pose, size, size)
+    assert (ief_label, lmk_label) == ("ief", "landmark")
+    assert np.array_equal(ief_mesh.vertices, gt_mesh.vertices)
+    assert ief.max < 1e-12
+    # the baseline fits every 7th model landmark, at most 10, at the default penalty
+    lms = project_landmarks(fit_model, gt, pose, size, size,
+                            fit_model.landmark_indices[::7][:10])
+    fit_mesh = synthesize_geometry(fit_model, landmark_fit(lms, pose, fit_model,
+                                                           size, size))
+    _, aligned = optimal_similarity_align(fit_mesh, gt_mesh)
+    assert np.array_equal(lmk_mesh.vertices, fit_mesh.vertices)
+    assert np.array_equal(lmk.distances, pointwise_error(aligned, gt_mesh).distances)
+    assert lmk.mean > 1e-3        # 10 landmarks cannot pin 40 coefficients
+
+
 def test_colormap_endpoints():
     errors = np.array([0.0, 0.5, 1.0])
     colors = error_colormap(errors)
@@ -217,15 +240,6 @@ def test_heatmap_hot_vertex_local_red(fit_model):
 
 # ---------------------------------------------------------------------------
 # File formats
-
-def test_landmark_file_roundtrip(tmp_path, rng):
-    lms = LandmarkSet(np.array([3, 9, 27]), rng.uniform(0, 64, (3, 2)))
-    path = tmp_path / "lms.txt"
-    save_landmarks(path, lms)
-    loaded = load_landmarks(path, 28)
-    assert np.array_equal(loaded.vertex_indices, lms.vertex_indices)
-    assert np.array_equal(loaded.image_points, lms.image_points)
-
 
 def test_report_file(rng):
     report = ErrorReport(np.abs(rng.standard_normal(50)))

@@ -53,7 +53,6 @@ synthface reconstruct --model model.mfm --predictor predictor.prd \
     --out recon > /dev/null
 synthface eval --model model.mfm --gt-coeffs eval_inputs/gt.bin \
     --ief-coeffs recon/coefficients.bin \
-    --landmarks-file eval_inputs/landmarks.txt \
     --pose-file eval_inputs/pose.txt --out report > eval.stdout
 # the IEF loop and its pooling at the benchmark's image size
 synthface eval-inputs --model model.mfm --out eval_inputs200 \
@@ -63,7 +62,6 @@ synthface reconstruct --model model.mfm --predictor predictor200.prd \
     --out recon200 > /dev/null
 synthface eval --model model.mfm --gt-coeffs eval_inputs200/gt.bin \
     --ief-coeffs recon200/coefficients.bin \
-    --landmarks-file eval_inputs200/landmarks.txt \
     --pose-file eval_inputs200/pose.txt --out report200 > eval200.stdout
 synthface defaults > defaults.stdout
 
