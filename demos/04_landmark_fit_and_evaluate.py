@@ -15,7 +15,7 @@ from synthface import (build_procedural_model, landmark_fit,
                        optimal_similarity_align, pointwise_error,
                        project_landmarks, sample_geometry_coefficients,
                        synthesize_geometry)
-from synthface.evaluate import LandmarkSet, error_heatmap
+from synthface.evaluate import baseline_indices, error_heatmap
 from synthface.image_io import write_ppm
 from synthface.render import PoseParams, nominal_focal
 
@@ -35,8 +35,8 @@ landmarks = project_landmarks(model, gt, pose, SIZE, SIZE,
 
 for label, lms in (
         ("all 68 landmarks", landmarks),
-        ("10 landmarks", LandmarkSet(landmarks.vertex_indices[::7][:10],
-                                     landmarks.image_points[::7][:10]))):
+        ("10 landmarks", project_landmarks(model, gt, pose, SIZE, SIZE,
+                                           baseline_indices(model)))):
     fitted = landmark_fit(lms, pose, model, SIZE, SIZE)
     mesh = synthesize_geometry(model, fitted)
     _, aligned = optimal_similarity_align(mesh, gt_mesh)

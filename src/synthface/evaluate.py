@@ -173,9 +173,10 @@ def score(model: MorphableModel, coeffs: GeometryCoefficients,
     """[("ief", mesh, report), ("landmark", mesh, report)] for `coeffs` and the
     baseline fitted to `gt`'s `baseline_indices` landmarks under `pose`: each
     mesh as synthesized, scored against `gt`'s after similarity alignment."""
-    lms = project_landmarks(model, gt, pose, width, height, baseline_indices(model))
-    baseline = landmark_fit(lms, pose, model, width, height)
     gt_mesh = synthesize_geometry(model, gt)
+    idx = baseline_indices(model)
+    pts, _ = project_vertices(gt_mesh, pose, width, height)
+    baseline = landmark_fit(LandmarkSet(idx, pts[idx]), pose, model, width, height)
     rows = []
     for label, c in (("ief", coeffs), ("landmark", baseline)):
         mesh = synthesize_geometry(model, c)

@@ -6,9 +6,16 @@ Conventions:
     offset with the y axis flipped
   - meshes face +z, so the depth test keeps the LARGEST rotated z
   - top-left fill rule on shared triangle edges
-  - each triangle row tests only the span between its edge crossings, and
-    each pixel keeps its largest depth, ties to the lowest triangle id
+  - each pixel keeps its largest depth, ties to the lowest triangle id
 Shading is Gouraud style: Phong evaluated per vertex, colors interpolated.
+
+`rasterize` runs in whole-array stages: triangle rows, per-row spans between
+the edge crossings, the exact edge test on each span pixel, then per fragment
+barycentrics and depth and color, each the fixed-order sum
+(b0 v0 + b2 v2) + b1 v1 whatever the machine's SIMD kernels.  The fill rule's
+top-left flags are gathered only when some edge value is exactly 0, fragments
+are compressed only when some span pixel is outside, and the depth resolve
+runs only when some pixel is contested (fewer covered pixels than fragments).
 """
 
 from __future__ import annotations
@@ -129,18 +136,18 @@ def phong_shade(albedo: np.ndarray, normal: np.ndarray,
 def _ranges(start, count):
     """Members of the integer ranges [start, start + count): (range index, value)."""
     owner = np.repeat(np.arange(count.size), count)
-    return owner, np.arange(owner.size) - np.repeat(np.cumsum(count) - count - start, count)
+    return owner, np.arange(owner.size) - (np.cumsum(count) - count - start).take(owner)
 
 
 def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
               width: int, height: int) -> RasterOutput:
     """Z-buffered triangle fill with barycentric color interpolation."""
     colors = np.asarray(colors, dtype=np.float64)
-    if colors.shape[0] != mesh.vertices.shape[0]:
-        raise ValueError("per-vertex color count does not match the mesh")
+    if colors.ndim not in (1, 2) or colors.shape[0] != mesh.vertices.shape[0]:
+        raise ValueError(f"colors of shape {colors.shape} are not (N,) or (N, C) "
+                         f"for a mesh of N = {mesh.vertices.shape[0]} vertices")
     pts, depths = project_vertices(mesh, pose, width, height)
     channels = 1 if colors.ndim == 1 else colors.shape[1]
-    cols = colors.reshape(-1, channels)
 
     tri = mesh.triangles.T.copy()           # (3, M)
     x, y = pts[:, 0].take(tri), pts[:, 1].take(tri)
@@ -148,7 +155,7 @@ def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
     # orient every triangle positively (swap vertices 1 and 2 where needed)
     flip = area2 < 0
     for a in (tri, x, y):
-        a[1], a[2] = np.where(flip, a[2], a[1]), np.where(flip, a[1], a[2])
+        a[1:] = np.where(flip, a[:0:-1], a[1:])
     area2 = np.abs(area2)
     # the rows of each triangle's pixel box, clipped to the image; none for
     # degenerate triangles
@@ -162,52 +169,56 @@ def rasterize(mesh: Mesh, colors: np.ndarray, pose: PoseParams,
     # a pixel is inside where every e_k > 0, or e_k == 0 on a top or left edge
     ax, ay = x[[1, 2, 0]], y[[1, 2, 0]]
     dx, dy = x[[2, 0, 1]] - ax, y[[2, 0, 1]] - ay
-    top_left = (dy == 0) & (dx < 0) | (dy > 0)
     # per (triangle, row): e_k >= 0 bounds px from below where dy < 0 and from
     # above where dy > 0 (NaN marks the other edges); the span between the
     # bounds, padded far beyond their rounding error, holds every covered pixel
     rt, iy = _ranges(iy0, rows)
-    r_ax, r_ay, r_dx, dy_lo, dy_hi = (np.take(a, rt, axis=1) for a in (
+    r_ax, t1, r_dx, lo, hi = (np.take(a, rt, axis=1) for a in (
         ax, ay, dx, np.where(dy < 0, dy, np.nan), np.where(dy > 0, dy, np.nan)))
-    t1 = r_dx * (iy + 0.5 - r_ay)
+    np.subtract(iy + 0.5, t1, out=t1)
+    t1 *= r_dx
     pad = 2.0 ** -32 * (1.0 + np.abs(x).max(initial=0.0))
     with np.errstate(over="ignore"):    # t1 / dy can overflow where dy is tiny
-        lo = np.fmax.reduce(r_ax + t1 / dy_lo) - pad
-        hi = np.fmin.reduce(r_ax + t1 / dy_hi) + pad
+        lo = np.fmax.reduce(np.add(r_ax, np.divide(t1, lo, out=lo), out=lo)) - pad
+        hi = np.fmin.reduce(np.add(r_ax, np.divide(t1, hi, out=hi), out=hi)) + pad
     x0 = np.fmin(np.fmax(np.ceil(lo - 0.5), 0), width).astype(np.int64)
     x1 = np.fmax(np.fmin(np.floor(hi - 0.5), width - 1), -1).astype(np.int64)
     rc, ix = _ranges(x0, np.maximum(x1 - x0 + 1, 0))
 
     # the exact edge test decides coverage
     rep = rt.take(rc)
-    e = np.take(t1, rc, axis=1) \
-        - np.take(dy, rep, axis=1) * (ix + 0.5 - np.take(ax, rep, axis=1))
-    inside = np.logical_and.reduce((e > 0) | (e == 0) & np.take(top_left, rep, axis=1))
-    rep = rep[inside]
-    bary = np.divide(np.compress(inside, e, axis=1).T, area2.take(rep)[:, None],
-                     out=np.empty((rep.size, 3)))
-    tri = np.ascontiguousarray(tri.T).take(rep, axis=0)
-    pix = iy.take(rc[inside]) * width + ix[inside]
-    frag_depth = np.einsum("fk,fk->f", bary, depths.take(tri))
+    e = np.subtract(ix + 0.5, np.take(ax, rep, axis=1))
+    e *= np.take(dy, rep, axis=1)
+    np.subtract(np.take(t1, rc, axis=1), e, out=e)
+    inside, on_edge = e > 0, e == 0
+    if on_edge.any():                       # zeros count on top and left edges
+        inside |= on_edge & np.take((dy == 0) & (dx < 0) | (dy > 0), rep, axis=1)
+    inside = np.logical_and.reduce(inside)
+    pix = np.take(iy * width, rc) + ix
+    if not inside.all():
+        rep, e, pix = rep[inside], np.compress(inside, e, axis=1), pix[inside]
+    e /= area2.take(rep)                    # barycentrics, (3, F)
+    # depth and color of each fragment, summed in the fixed order (0 + 2) + 1
+    frag = np.take(np.vstack((depths, colors.T)).take(tri, axis=1), rep, axis=2)
+    frag *= e
+    frag = frag[:, 0] + frag[:, 2] + frag[:, 1]      # (1 + C, F)
 
-    # resolve: each pixel keeps its largest depth (-0.0 ties 0.0; the winner then
-    # writes its own), then its lowest fragment index, which has the lowest
-    # triangle id because fragments come triangle by triangle (rep ascends)
     depth = np.full(height * width, -np.inf)
-    np.maximum.at(depth, pix, frag_depth)
-    cand = np.nonzero(frag_depth == depth.take(pix))[0]
-    first = np.full(height * width, pix.size)
-    np.minimum.at(first, pix.take(cand), cand)
-    win = cand[first.take(pix.take(cand)) == cand]
-    win_pix = pix.take(win)
-
-    image = np.zeros((height * width, channels))
     mask = np.zeros(height * width, dtype=bool)
-    image[win_pix] = np.einsum("fk,fkc->fc", bary.take(win, axis=0),
-                               cols.take(tri.take(win, axis=0), axis=0))
-    mask[win_pix] = True
-    depth[win_pix] = frag_depth.take(win)
-    image = image.reshape(height, width, channels)
+    mask[pix] = True
+    if np.count_nonzero(mask) < pix.size:
+        # resolve: each pixel keeps its largest depth (-0.0 ties 0.0; the winner
+        # then writes its own), then its lowest fragment index, which has the
+        # lowest triangle id because fragments come triangle by triangle (rep ascends)
+        np.maximum.at(depth, pix, frag[0])
+        cand = np.nonzero(frag[0] == depth.take(pix))[0]
+        first = np.full(height * width, pix.size)
+        np.minimum.at(first, pix.take(cand), cand)
+        win = cand[first.take(pix.take(cand)) == cand]
+        pix, frag = pix.take(win), np.take(frag, win, axis=1)
+    depth[pix] = frag[0]
+    image = np.zeros((height, width, channels))
+    image.reshape(-1, channels)[pix] = frag[1:].T
     return RasterOutput(image[..., 0] if channels == 1 else image,
                         mask.reshape(height, width), depth.reshape(height, width))
 

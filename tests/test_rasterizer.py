@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthface.model import Mesh
-from synthface.render import PoseParams, rasterize
+from synthface.model import (Mesh, build_procedural_model, sample_geometry_coefficients,
+                             synthesize_geometry)
+from synthface.render import PoseParams, nominal_focal, rasterize, rotation_from_euler
 
 
 def reference_rasterize(mesh, colors, pose, width, height):
@@ -79,9 +82,8 @@ def pixel_triangle(cells, width, height):
     return pixel_mesh(cells, width, height)
 
 
-def assert_matches_reference(mesh, colors, width, height):
-    """Identity-pose raster: exact mask, image and depth within 1e-9 of the oracle."""
-    pose = PoseParams.identity()
+def assert_matches_reference(mesh, colors, width, height, pose=PoseParams.identity()):
+    """Exact mask, image and depth within 1e-9 of the oracle (identity pose by default)."""
     got = rasterize(mesh, colors, pose, width, height)
     ref_img, ref_mask, ref_depth = reference_rasterize(mesh, colors, pose, width, height)
     assert np.array_equal(got.mask, ref_mask)
@@ -310,3 +312,35 @@ def test_folded_mesh_matches_reference(zero_ties):
                for t in mesh.triangles)
     assert (hits > 1).sum() > 0.5 * (hits > 0).sum()
     assert_matches_reference(mesh, rng.uniform(size=(1200, 3)), width, height)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (), (2, 3), (4,)],
+                         ids=["three_dims", "scalar", "too_few", "too_many"])
+def test_rejects_colors_not_one_per_vertex(shape):
+    # (3, 2, 3) has one entry per vertex along its first axis, but is neither
+    # (N,) nor (N, C)
+    mesh = pixel_triangle([(4.2, 4.2), (6.3, 4.2), (4.2, 6.3)], 16, 16)
+    with pytest.raises(ValueError, match=re.escape(f"colors of shape {shape}")):
+        rasterize(mesh, np.ones(shape), PoseParams.identity(), 16, 16)
+
+
+@pytest.mark.parametrize("rgb", [False, True], ids=["gray", "rgb"])
+@pytest.mark.parametrize("yaw, contested", [(0.0, False), (1.0, True)],
+                         ids=["frontal", "folded"])
+def test_face_mesh_matches_reference(yaw, contested, rgb):
+    # a procedural face at about one fragment per pixel, as the benchmark's
+    # renders are: shared edges and triangles of about a pixel.  Seen from the
+    # front it covers no pixel twice, so no depth resolve runs; turned by 1 rad
+    # it folds over itself and the resolve decides the contested pixels
+    model = build_procedural_model(seed=2, n_id=4, n_exp=2, n_tex=2, grid_resolution=16)
+    rng = np.random.default_rng(0)
+    mesh = synthesize_geometry(model, sample_geometry_coefficients(rng, model))
+    width, height = 32, 28
+    pose = PoseParams(nominal_focal(mesh, height), rotation_from_euler(yaw, 0.1, 0.05),
+                      np.zeros(3))
+    hits = sum(rasterize(Mesh(mesh.vertices, t[None]), np.zeros(model.n_vertices),
+                         pose, width, height).mask.astype(int) for t in mesh.triangles)
+    assert (hits > 0).sum() > 0.4 * mesh.triangles.shape[0]
+    assert (hits > 1).any() == contested
+    colors = rng.uniform(size=(model.n_vertices, 3) if rgb else model.n_vertices)
+    assert_matches_reference(mesh, colors, width, height, pose)
