@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from synthface import datagen
 from synthface.model import build_procedural_model
 
 
@@ -19,3 +22,15 @@ def fit_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture
+def empty_face_raster(monkeypatch):
+    """Make datagen's face raster cover no pixel under any pose, so that every
+    pose draw of a sample is rejected."""
+    real = datagen.rasterize
+
+    def rasterize(*args):
+        out = real(*args)
+        return replace(out, mask=np.zeros_like(out.mask))
+    monkeypatch.setattr(datagen, "rasterize", rasterize)

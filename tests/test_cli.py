@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from synthface.cli import main
-from synthface.datagen import (generate_sample, load_coeff_vector,
-                               rng_for_sample, save_coeff_vector)
+from synthface.datagen import (MAX_POSE_RETRIES, generate_sample,
+                               load_coeff_vector, rng_for_sample,
+                               save_coeff_vector)
 from synthface.evaluate import (landmark_fit, optimal_similarity_align,
                                 pointwise_error, project_landmarks)
 from synthface.image_io import write_pgm
@@ -54,10 +55,19 @@ def test_model_gen_requires_out(capsys):
     assert exc.value.code != 0
 
 
-def test_model_gen_bad_dims(capsys):
-    rc = run("model-gen", "--n-id", 9999, "--grid", 8, "--out", "/tmp/x.mfm")
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+def test_model_gen_bad_dims(tmp_path, capsys):
+    out = tmp_path / "x.mfm"
+    # one input for each dimension check of build_procedural_model
+    for args, message in [
+            (["--n-id", 9999, "--grid", 8],
+             "n_id + n_exp = 10083 exceeds 3N = 192; increase grid_resolution"),
+            (["--n-id", 0], "all dimensions must be >= 1"),
+            (["--n-tex", 99999, "--grid", 16],
+             "n_tex = 99999 exceeds 3N = 768")]:
+        rc = run("model-gen", *args, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +171,15 @@ def _nan_at(offset):
     return lambda data: data[:offset] + struct.pack("<d", np.nan) + data[offset + 8:]
 
 
+def _first_triangle_index_n(data):
+    """Set the first triangle's first vertex index to N, one past the last
+    vertex; the triangle block ends where the landmark trailer starts, and
+    every other check of the file still passes."""
+    n, m = struct.unpack_from("<2I", data, 4)
+    off = data.index(b"LMK1") - 12 * m
+    return data[:off] + struct.pack("<I", n) + data[off + 4:]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda data: b"JUNK" + b"\x00" * 100,
     lambda data: data[:200],
@@ -169,8 +188,9 @@ def _nan_at(offset):
     lambda data: data[:-4] + struct.pack("<I", 5000),
     lambda data: data + b"\x00" * 8,
     _nan_at(24),                        # the first mu_shape value
+    _first_triangle_index_n,
 ], ids=["junk", "truncated", "short", "non_orthonormal", "landmark_5000",
-        "trailing", "nan_mu_shape"])
+        "trailing", "nan_mu_shape", "triangle_index_n"])
 def test_datagen_corrupt_model_names_file(tmp_path, model_file, capsys, corrupt):
     bad = tmp_path / "corrupt.mfm"
     bad.write_bytes(corrupt(model_file.read_bytes()))
@@ -578,6 +598,18 @@ def test_datagen_out_of_memory_is_one_line(tmp_path, model_file, capsys,
              "--width", 524288, "--height", 524288)
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_datagen_without_a_covering_pose_is_one_line(tmp_path, model_file,
+                                                    capsys, empty_face_raster):
+    # generate_sample's RuntimeError once every pose draw is rejected
+    out = tmp_path / "d"
+    rc = run("datagen", "--model", model_file, "--out", out, "--count", 1,
+             "--width", 16, "--height", 16)
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: no non-degenerate pose found in {MAX_POSE_RETRIES} attempts\n"
     assert not out.exists()
 
 

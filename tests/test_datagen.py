@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from synthface.datagen import (DatasetManifest, _sample_files,
-                               generate_dataset, generate_sample,
-                               load_coeff_vector, load_dataset, load_manifest,
+from synthface import datagen
+from synthface.datagen import (MAX_POSE_RETRIES, DatasetManifest,
+                               _sample_files, generate_dataset,
+                               generate_sample, load_coeff_vector,
+                               load_dataset, load_manifest,
                                load_sample_coeffs, rng_for_sample,
                                sample_intermediate, save_coeff_vector,
                                save_sample_coeffs)
@@ -46,13 +48,45 @@ def test_intermediate_variance_third(small_model):
 # ---------------------------------------------------------------------------
 # Single-sample generation
 
-def test_generate_sample_deterministic(small_model):
-    a = generate_sample(rng_for_sample(5, 2), small_model, 64, 64, sample_id=2)
-    b = generate_sample(rng_for_sample(5, 2), small_model, 64, 64, sample_id=2)
-    assert np.array_equal(a.face_image, b.face_image)
-    assert np.array_equal(a.shading_image, b.shading_image)
-    assert np.array_equal(a.alpha_gt.vector, b.alpha_gt.vector)
-    assert a.pose.f == b.pose.f
+def count_pose_draws(monkeypatch):
+    """Record each `sample_pose` call of `generate_sample` in the list
+    returned."""
+    draws = []
+    real = datagen.sample_pose
+
+    def sample_pose(*args):
+        draws.append(args)
+        return real(*args)
+    monkeypatch.setattr(datagen, "sample_pose", sample_pose)
+    return draws
+
+
+def test_generate_sample_deterministic(small_model, monkeypatch):
+    draws = count_pose_draws(monkeypatch)
+    # sample 100 of seed 0 at 2x2 takes the retry: its first pose leaves a
+    # raster empty, so it draws a second
+    for seed, index, size, n_draws in [(5, 2, 64, 1), (0, 100, 2, 2)]:
+        draws.clear()
+        a = generate_sample(rng_for_sample(seed, index), small_model, size,
+                            size, sample_id=index)
+        assert len(draws) == n_draws
+        b = generate_sample(rng_for_sample(seed, index), small_model, size,
+                            size, sample_id=index)
+        assert np.array_equal(a.face_image, b.face_image)
+        assert np.array_equal(a.shading_image, b.shading_image)
+        assert np.array_equal(a.alpha_gt.vector, b.alpha_gt.vector)
+        assert a.pose.f == b.pose.f
+
+
+def test_generate_sample_gives_up_after_max_pose_retries(small_model,
+                                                         monkeypatch,
+                                                         empty_face_raster):
+    # the retry loop's else branch: no pose of the sample covers a pixel
+    draws = count_pose_draws(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"no non-degenerate pose found in "
+                                           f"{MAX_POSE_RETRIES} attempts"):
+        generate_sample(rng_for_sample(0, 0), small_model, 64, 64)
+    assert len(draws) == MAX_POSE_RETRIES
 
 
 def test_face_masked_by_shading_mask(small_model):

@@ -268,11 +268,16 @@ def test_pose_file_roundtrip(tmp_path, rng):
     pose = sample_pose(rng, 40.0, 3.0)
     path = tmp_path / "pose.txt"
     save_pose(path, pose, 48, 32)
-    loaded, size = load_pose(path)
-    assert size == (48, 32)
-    assert loaded.f == pose.f
-    assert np.array_equal(loaded.rotation, pose.rotation)
-    assert np.array_equal(loaded.translation, pose.translation)
+    saved = path.read_text().splitlines(keepends=True)
+    # the same file again with a comment line and a blank line, which the
+    # reader skips
+    for lines in (saved, ["# a comment\n"] + saved[:2] + ["\n"] + saved[2:]):
+        path.write_text("".join(lines))
+        loaded, size = load_pose(path)
+        assert size == (48, 32)
+        assert loaded.f == pose.f
+        assert np.array_equal(loaded.rotation, pose.rotation)
+        assert np.array_equal(loaded.translation, pose.translation)
 
 
 def test_pose_file_size_must_be_positive(tmp_path, rng):
