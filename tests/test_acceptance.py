@@ -12,7 +12,9 @@ cause), so 6a-6c are expected to fail and are kept red rather than loosened.
 import hashlib
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -35,6 +37,8 @@ from synthface.render import (PoseParams, face_width_of, nominal_focal,
                               rasterize, sample_pose)
 
 from test_rasterizer import reference_rasterize
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -298,40 +302,35 @@ def test_criterion_8_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 # Criterion 9: documented CLI walkthrough end to end
 
+def readme_block(section, language):
+    """The ```language code of the README's `## section`, as written."""
+    with open(os.path.join(REPO, "README.md")) as f:
+        text = f.read()
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return "".join(re.findall(rf"^```{language}\n(.*?)^```$", body,
+                              re.MULTILINE | re.DOTALL))
+
+
 def test_criterion_9_walkthrough(tmp_path):
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cli = [sys.executable, "-m", "synthface.cli"]
+    # the shell joins a line ending in `\` to the next; `#` starts a comment
+    script = readme_block("Command-line walkthrough", "sh").replace("\\\n", "")
+    commands = [argv for argv in (shlex.split(line, comments=True)
+                                  for line in script.splitlines()) if argv]
+    assert {argv[0] for argv in commands} == {"synthface"}
+    assert [argv[1] for argv in commands] == [
+        "model-gen", "datagen", "eval-inputs", "train", "reconstruct", "eval"]
+
     # The steps run from tmp_path, where a relative PYTHONPATH entry such as
     # the test command's `src` no longer resolves; put the absolute source
     # directory first and keep whatever the caller had after it.
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(repo, "src")] + ([inherited] if inherited else [])))
-
-    def run(*args):
-        return subprocess.run([str(a) for a in args], cwd=tmp_path, env=env,
-                              capture_output=True, text=True)
-
-    steps = [
-        (*cli, "model-gen", "--seed", 1, "--n-id", 30, "--n-exp", 10,
-         "--n-tex", 10, "--grid", 32, "--out", "model.mfm"),
-        (*cli, "datagen", "--model", "model.mfm", "--out", "data",
-         "--seed", 0, "--count", 300, "--width", 64, "--height", 64),
-        (*cli, "eval-inputs", "--model", "model.mfm", "--out", "eval_inputs",
-         "--seed", 123, "--width", 64, "--height", 64),
-        (*cli, "train", "--model", "model.mfm", "--dataset", "data",
-         "--out", "predictor.prd", "--ridge", 1.0),
-        (*cli, "reconstruct", "--model", "model.mfm",
-         "--predictor", "predictor.prd", "--image", "eval_inputs/face.pgm",
-         "--pose-file", "eval_inputs/pose.txt", "--out", "recon"),
-        (*cli, "eval", "--model", "model.mfm",
-         "--gt-coeffs", "eval_inputs/gt.bin",
-         "--ief-coeffs", "recon/coefficients.bin",
-         "--pose-file", "eval_inputs/pose.txt", "--out", "report"),
-    ]
-    for step in steps:
-        proc = run(*step)
-        assert proc.returncode == 0, f"{step}\n{proc.stderr}"
+        [os.path.join(REPO, "src")] + ([inherited] if inherited else [])))
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "synthface.cli", *argv[1:]],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, f"{argv}\n{proc.stderr}"
 
     for artifact in ("recon/mesh.off", "recon/shading.pgm",
                      "report/heatmap_ief.ppm", "report/heatmap_landmark.ppm",

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import shutil
 import struct
@@ -94,18 +93,6 @@ def reconstruct(model_file, pipeline, out, predictor=None):
 def assert_one_line_error(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-
-
-def test_datagen_deterministic_and_counted(tmp_path, model_file):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    for d in (d1, d2):
-        assert run("datagen", "--model", model_file, "--out", d, "--seed", 3,
-                   "--count", 3, "--width", 64, "--height", 64) == 0
-    names = sorted(os.listdir(d1))
-    assert sorted(os.listdir(d2)) == names
-    assert sum(n.endswith("_face.pgm") for n in names) == 3
-    for n in names:
-        assert file_digest(d1 / n) == file_digest(d2 / n)
 
 
 def test_datagen_missing_model(tmp_path, capsys):
@@ -267,12 +254,6 @@ def test_reconstruct_dim_mismatch(tmp_path, model_file, capsys, own_digest):
              "--out", tmp_path / "out")
     assert rc == 1
     assert_one_line_error(capsys, ppath)
-
-
-def test_defaults_dump_is_json(capsys):
-    assert run("defaults") == 0
-    cfg = json.loads(capsys.readouterr().out)
-    assert cfg["n_id"] == 200 and cfg["ief_iterations"] == 3
 
 
 def test_full_pipeline_smoke(tmp_path, model_file, pipeline):

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import re
 
@@ -21,6 +20,8 @@ from synthface.model import (GeometryCoefficients, build_procedural_model,
                              synthesize_texture)
 from synthface.render import (compute_vertex_normals, luminance, phong_shade,
                               rasterize, render_shading_image)
+
+from test_acceptance import dir_digest
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +174,6 @@ def test_sample_coeffs_roundtrip(tmp_path, small_model):
 
 # ---------------------------------------------------------------------------
 # Dataset directories
-
-def dir_digest(path):
-    h = hashlib.sha256()
-    for name in sorted(os.listdir(path)):
-        h.update(name.encode())
-        with open(os.path.join(path, name), "rb") as f:
-            h.update(f.read())
-    return h.hexdigest()
-
-
-def test_dataset_worker_count_invariance(tmp_path, small_model):
-    d1 = tmp_path / "w1"
-    d3 = tmp_path / "w3"
-    generate_dataset(4, small_model, 4, d1, width=64, height=64, workers=1)
-    generate_dataset(4, small_model, 4, d3, width=64, height=64, workers=3)
-    assert dir_digest(d1) == dir_digest(d3)
-
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs jobs in-process."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,17 @@ def test_ppm_roundtrip_bit_exact(tmp_path, rng):
     assert raw.startswith(header) and len(raw) == len(header) + 7 * 5 * 3
     pixels = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(7, 5, 3)
     assert np.array_equal(pixels / 255.0, img)
+
+
+@pytest.mark.parametrize("write, shape, reason", [
+    (write_ppm, (4, 4), "P6 image shape (4, 4) is not (H, W) + (3,)"),
+    (write_pgm, (4, 4, 3), "P5 image shape (4, 4, 3) is not (H, W) + ()"),
+], ids=["ppm_gray", "pgm_rgb"])
+def test_pnm_writers_reject_wrong_channel_count(tmp_path, write, shape, reason):
+    path = tmp_path / "x.pnm"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        write(path, np.zeros(shape))
+    assert not path.exists()
 
 
 def test_pnm_magic_mismatch(tmp_path, rng):
